@@ -13,26 +13,26 @@ Exit codes: 0 EXISTS or plain success, 1 NOT_EXISTS, 2 UNKNOWN,
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import dataclass
 
 from .dense_tree import odd_spanning_tree_dense
 from .errors import (
-    BadWitness,
     ConditionHolds,
-    DegenerateClique,
-    DiameterTooSmall,
     Disconnected,
     DuplicateEdge,
+    EdgeConnectivityTooLow,
     EmptyGraph,
     ExhaustedCases,
     GreedyStalled,
     MinDegreeTooLow,
     NoTreePacking,
+    NotSplit,
     NotTriangleFree,
     OddOrder,
-    ParityArgument,
+    OddSpanError,
     ParseError,
     SelfLoop,
 )
@@ -63,7 +63,7 @@ from .oracle import (
     verify_connected_odd_factor,
     verify_odd_spanning_tree,
 )
-from .split import double_star_in_complement, find_split_partition, split_no_tree_condition, split_odd_spanning_tree
+from .split import double_star_in_complement, find_split_partition, split_odd_spanning_tree
 from .sweep import (
     sweep_bipartition,
     sweep_dense,
@@ -206,25 +206,114 @@ def _part(name: str, vs) -> tuple[str, tuple[int, ...]]:
     return (name, tuple(sorted(vs)))
 
 
-def _tree_cert(g: Graph, method: str, tree: EdgeSet) -> Certificate:
-    rep = verify_odd_spanning_tree(g, tree)
-    assert rep.ok, f"constructed tree failed verification: {rep}"
-    return Certificate(EXISTS, method, edges=tree, verified=True)
+def _exists(g: Graph, method: str, witness: EdgeSet, factor: bool = False) -> Certificate:
+    """The one place a witness is verified before it becomes an answer."""
+    if factor:
+        rep = verify_connected_odd_factor(g, witness)
+    else:
+        rep = verify_odd_spanning_tree(g, witness)
+    assert rep.ok, f"constructed witness failed verification: {rep}"
+    return Certificate(EXISTS, method, edges=witness, verified=True)
 
 
-def _factor_cert(g: Graph, method: str, factor: EdgeSet) -> Certificate:
-    rep = verify_connected_odd_factor(g, factor)
-    assert rep.ok, f"constructed factor failed verification: {rep}"
-    return Certificate(EXISTS, method, edges=factor, verified=True)
+_DISCONNECTED = Certificate(NOT_EXISTS, "disconnected", reason="disconnected")
 
 
-def _split_nonexistence(sp) -> Certificate:
+def _odd_order(g: Graph) -> Certificate:
+    return Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}")
+
+
+# Each method takes a nonempty graph and returns a Certificate, or raises
+# a typed error when the graph is outside its scope.
+
+
+def _split(g: Graph) -> Certificate:
+    sp = find_split_partition(g)
+    if sp is None:
+        raise NotSplit("input is not a split graph")
+    try:
+        tree = split_odd_spanning_tree(g, sp)
+    except Disconnected:
+        return _DISCONNECTED
+    except ConditionHolds:
+        return Certificate(
+            NOT_EXISTS,
+            "split-criterion",
+            parts=(_part("x", sp.x), _part("y", sp.y)),
+            reason="split-condition",
+        )
+    return _exists(g, "split-criterion", tree)
+
+
+def _trifree(g: Graph) -> Certificate:
+    try:
+        decision = trifree_complement_tree(complement(g))
+    except NotTriangleFree:
+        raise NotTriangleFree("complement of input must be triangle-free") from None
+    if decision.exists:
+        return _exists(g, "trifree-complement", decision.tree)
     return Certificate(
-        NOT_EXISTS,
-        "split-criterion",
-        parts=(_part("x", sp.x), _part("y", sp.y)),
-        reason="split-condition",
+        NOT_EXISTS, "trifree-complement", reason=f"excluded-family {decision.family}"
     )
+
+
+def _dense(g: Graph) -> Certificate:
+    return _exists(g, "dense-min-degree", odd_spanning_tree_dense(g))
+
+
+def _oracle(g: Graph) -> Certificate:
+    if g.n > ODD_TREE_VERTEX_CAP:
+        return Certificate(UNKNOWN, "oracle-capped", reason=f"size-cap {ODD_TREE_VERTEX_CAP}")
+    tree = find_odd_spanning_tree_bruteforce(g)
+    if tree is None:
+        return Certificate(NOT_EXISTS, "oracle-exhaustive", reason="oracle-exhaustive")
+    return _exists(g, "oracle-exhaustive", tree)
+
+
+def _double_star(g: Graph) -> Certificate:
+    # the tree lives in the complement, so a disconnected input may have one
+    tree = double_star_in_complement(g)
+    return _exists(complement(g), "double-star", tree)
+
+
+def _factor(g: Graph, strict: bool = False) -> Certificate:
+    if not is_connected(g):
+        return _DISCONNECTED
+    if strict:
+        lam = edge_connectivity(g)
+        if lam < 4:
+            raise EdgeConnectivityTooLow(f"edge connectivity {lam} < 4")
+    try:
+        trace = connected_odd_factor(g)
+    except NoTreePacking as exc:
+        return Certificate(
+            UNKNOWN,
+            "tree-packing",
+            parts=tuple(_part(f"part{i}", vs) for i, vs in enumerate(exc.cert.parts)),
+            reason="no-tree-packing",
+            count=exc.cert.cross_edges,
+        )
+    return _exists(g, "parity-repair-factor", trace.result, factor=True)
+
+
+METHODS = {
+    "split": _split,
+    "trifree": _trifree,
+    "dense": _dense,
+    "oracle": _oracle,
+    "double-star": _double_star,
+    "factor": _factor,
+}
+
+
+def run_method(g: Graph, name: str, **options) -> Certificate:
+    """Answer with the one named method; ``check --method`` and ``construct``."""
+    if g.n == 0:
+        raise EmptyGraph("no vertices")
+    try:
+        return METHODS[name](g, **options)
+    except OddOrder:
+        return _odd_order(g)
 
 
 def decide(g: Graph) -> Certificate:
@@ -232,9 +321,9 @@ def decide(g: Graph) -> Certificate:
     if g.n == 0:
         raise EmptyGraph("no vertices")
     if not is_connected(g):
-        return Certificate(NOT_EXISTS, "disconnected", reason="disconnected")
+        return _DISCONNECTED
     if g.n % 2:
-        return Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}")
+        return _odd_order(g)
     why = find_nonexistence(g)
     if why is not None:
         if why.kind == "bipartite-even-parts":
@@ -247,35 +336,12 @@ def decide(g: Graph) -> Certificate:
             )
         u, v = why.witness
         return Certificate(NOT_EXISTS, why.kind, reason=f"{why.kind} {u} {v}")
-    sp = find_split_partition(g)
-    if sp is not None and len(sp.y) >= 2:
-        if split_no_tree_condition(g, sp):
-            return _split_nonexistence(sp)
-        return _tree_cert(g, "split-criterion", split_odd_spanning_tree(g, sp))
-    h = complement(g)
-    if is_triangle_free(h):
+    for method in (_split, _trifree, _dense):
         try:
-            decision = trifree_complement_tree(h)
-        except ExhaustedCases:
-            decision = None
-        if decision is not None:
-            if decision.exists:
-                return _tree_cert(g, "trifree-complement", decision.tree)
-            return Certificate(
-                NOT_EXISTS,
-                "trifree-complement",
-                reason=f"excluded-family {decision.family}",
-            )
-    if g.min_degree() >= g.n // 2 + 1:
-        return _tree_cert(g, "dense-min-degree", odd_spanning_tree_dense(g))
-    if g.n <= ODD_TREE_VERTEX_CAP:
-        tree = find_odd_spanning_tree_bruteforce(g)
-        if tree is None:
-            return Certificate(NOT_EXISTS, "oracle-exhaustive", reason="oracle-exhaustive")
-        return _tree_cert(g, "oracle-exhaustive", tree)
-    return Certificate(
-        UNKNOWN, "oracle-capped", reason=f"size-cap {ODD_TREE_VERTEX_CAP}"
-    )
+            return method(g)
+        except (NotSplit, NotTriangleFree, MinDegreeTooLow, ExhaustedCases):
+            pass  # this method does not apply; try the next one
+    return _oracle(g)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,175 +379,43 @@ def _emit(cert: Certificate) -> int:
     return _VERDICT_EXIT[cert.verdict]
 
 
+# family -> (required flags, builder)
+_FAMILIES = {
+    "complete": (("n",), lambda a: gen_complete(a.n)),
+    "complete-bipartite": (("s", "t"), lambda a: gen_complete_bipartite(a.s, a.t)),
+    "cbme": (("s", "t"), lambda a: gen_complete_bipartite_minus_edge(a.s, a.t)),
+    "c5k": (("k",), lambda a: gen_c5k(a.k)),
+    "random": (("n",), lambda a: gen_random(a.n, a.p, a.seed)),
+    "random-split": (("s", "t"), lambda a: gen_random_split(a.s, a.t, a.p, a.seed)[0]),
+    "bridge-complete": (
+        ("s", "t"),
+        lambda a: gen_bridge_join(gen_complete(a.s), gen_complete(a.t), 0, 0),
+    ),
+}
+
+
 def _cmd_gen(args) -> int:
-    fam = args.family
-
-    def need(**kw):
-        missing = [k for k, v in kw.items() if v is None]
-        if missing:
-            flags = ", ".join("--" + k for k in missing)
-            print(f"oddspan gen: error: family {fam} requires {flags}", file=sys.stderr)
-            raise SystemExit(EX_USAGE)
-
-    if fam == "complete":
-        need(n=args.n)
-        g = gen_complete(args.n)
-    elif fam == "complete-bipartite":
-        need(s=args.s, t=args.t)
-        g = gen_complete_bipartite(args.s, args.t)
-    elif fam == "cbme":
-        need(s=args.s, t=args.t)
-        g = gen_complete_bipartite_minus_edge(args.s, args.t)
-    elif fam == "c5k":
-        need(k=args.k)
-        g = gen_c5k(args.k)
-    elif fam == "random":
-        need(n=args.n)
-        g = gen_random(args.n, args.p, args.seed)
-    elif fam == "random-split":
-        need(s=args.s, t=args.t)
-        g, _ = gen_random_split(args.s, args.t, args.p, args.seed)
-    else:
-        assert fam == "bridge-complete"
-        need(s=args.s, t=args.t)
-        g = gen_bridge_join(gen_complete(args.s), gen_complete(args.t), 0, 0)
-    sys.stdout.write(emit_graph(g))
+    required, build = _FAMILIES[args.family]
+    missing = [k for k in required if getattr(args, k) is None]
+    if missing:
+        flags = ", ".join("--" + k for k in missing)
+        print(f"oddspan gen: error: family {args.family} requires {flags}", file=sys.stderr)
+        return EX_USAGE
+    sys.stdout.write(emit_graph(build(args)))
     return 0
 
 
 def _cmd_check(args) -> int:
     g = _load_graph(args)
-    if args.method == "auto":
-        return _emit(decide(g))
-    if g.n == 0:
-        raise EmptyGraph("no vertices")
-    if args.method == "split":
-        sp = find_split_partition(g)
-        if sp is None:
-            print("error: input is not a split graph", file=sys.stderr)
-            return EX_DATA
-        try:
-            if split_no_tree_condition(g, sp):
-                return _emit(_split_nonexistence(sp))
-        except OddOrder:
-            return _emit(Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}"))
-        return _emit(_tree_cert(g, "split-criterion", split_odd_spanning_tree(g, sp)))
-    if args.method == "trifree":
-        h = complement(g)
-        try:
-            decision = trifree_complement_tree(h)
-        except OddOrder:
-            return _emit(Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}"))
-        except NotTriangleFree:
-            print("error: complement of input must be triangle-free", file=sys.stderr)
-            return EX_DATA
-        if decision.exists:
-            return _emit(_tree_cert(g, "trifree-complement", decision.tree))
-        return _emit(
-            Certificate(
-                NOT_EXISTS,
-                "trifree-complement",
-                reason=f"excluded-family {decision.family}",
-            )
-        )
-    if args.method == "dense":
-        try:
-            tree = odd_spanning_tree_dense(g)
-        except OddOrder:
-            return _emit(Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}"))
-        return _emit(_tree_cert(g, "dense-min-degree", tree))
-    assert args.method == "oracle"
-    if g.n > ODD_TREE_VERTEX_CAP:
-        return _emit(
-            Certificate(UNKNOWN, "oracle-capped", reason=f"size-cap {ODD_TREE_VERTEX_CAP}")
-        )
-    tree = find_odd_spanning_tree_bruteforce(g)
-    if tree is None:
-        return _emit(Certificate(NOT_EXISTS, "oracle-exhaustive", reason="oracle-exhaustive"))
-    return _emit(_tree_cert(g, "oracle-exhaustive", tree))
+    return _emit(decide(g) if args.method == "auto" else run_method(g, args.method))
 
 
 def _cmd_construct(args) -> int:
-    if args.strict and not args.factor:
+    if args.strict and args.method != "factor":
         print("error: --strict only applies to --factor", file=sys.stderr)
         return EX_USAGE
-    g = _load_graph(args)
-    if g.n == 0:
-        raise EmptyGraph("no vertices")
-    if args.dense:
-        try:
-            tree = odd_spanning_tree_dense(g)
-        except OddOrder:
-            return _emit(Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}"))
-        return _emit(_tree_cert(g, "dense-min-degree", tree))
-    if args.split:
-        sp = find_split_partition(g)
-        if sp is None:
-            print("error: input is not a split graph", file=sys.stderr)
-            return EX_DATA
-        try:
-            tree = split_odd_spanning_tree(g, sp)
-        except OddOrder:
-            return _emit(Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}"))
-        except Disconnected:
-            return _emit(Certificate(NOT_EXISTS, "disconnected", reason="disconnected"))
-        except DegenerateClique:
-            print("error: clique side is a single vertex", file=sys.stderr)
-            return EX_DATA
-        except ConditionHolds:
-            return _emit(_split_nonexistence(sp))
-        return _emit(_tree_cert(g, "split-criterion", tree))
-    if args.double_star:
-        try:
-            tree = double_star_in_complement(g)
-        except OddOrder:
-            return _emit(Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}"))
-        return _emit(_tree_cert(complement(g), "double-star", tree))
-    if args.trifree:
-        h = complement(g)
-        try:
-            decision = trifree_complement_tree(h)
-        except OddOrder:
-            return _emit(Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}"))
-        except NotTriangleFree:
-            print("error: complement of input must be triangle-free", file=sys.stderr)
-            return EX_DATA
-        if decision.exists:
-            return _emit(_tree_cert(g, "trifree-complement", decision.tree))
-        return _emit(
-            Certificate(
-                NOT_EXISTS,
-                "trifree-complement",
-                reason=f"excluded-family {decision.family}",
-            )
-        )
-    assert args.factor
-    if not is_connected(g):
-        return _emit(Certificate(NOT_EXISTS, "disconnected", reason="disconnected"))
-    if args.strict:
-        lam = edge_connectivity(g)
-        if lam < 4:
-            print(f"error: edge connectivity {lam} < 4", file=sys.stderr)
-            return EX_DATA
-    try:
-        trace = connected_odd_factor(g)
-    except OddOrder:
-        return _emit(Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}"))
-    except NoTreePacking as exc:
-        cert = exc.cert
-        parts = tuple(
-            _part(f"part{i}", vs) for i, vs in enumerate(cert.parts)
-        )
-        return _emit(
-            Certificate(
-                UNKNOWN,
-                "tree-packing",
-                parts=parts,
-                reason="no-tree-packing",
-                count=cert.cross_edges,
-            )
-        )
-    return _emit(_factor_cert(g, "parity-repair-factor", trace.result))
+    options = {"strict": True} if args.strict else {}
+    return _emit(run_method(_load_graph(args), args.method, **options))
 
 
 def _cmd_verify(args) -> int:
@@ -521,26 +455,23 @@ def _cmd_info(args) -> int:
     return 0
 
 
+_SWEEPS = {
+    "dense": sweep_dense,
+    "split": sweep_split,
+    "trifree": sweep_trifree,
+    "packing": sweep_packing,
+    "factor": sweep_factor,
+    "bipartition": sweep_bipartition,
+}
+
+
 def _cmd_sweep(args) -> int:
-    workers = _workers()
-    if args.dense:
-        rep = sweep_dense(seeded=args.cap if args.cap is not None else 500,
-                          workers=workers, max_n=args.n)
-    elif args.split:
-        rep = sweep_split(seeded=args.cap if args.cap is not None else 500,
-                          workers=workers, max_n=args.n)
-    elif args.trifree:
-        rep = sweep_trifree(seeded=args.cap if args.cap is not None else 300,
-                            workers=workers, max_n=args.n)
-    elif args.packing:
-        rep = sweep_packing(workers=workers, max_n=args.n)
-    elif args.factor:
-        rep = sweep_factor(seeded=args.cap if args.cap is not None else 100,
-                           workers=workers)
-    else:
-        assert args.bipartition
-        rep = sweep_bipartition(seeded=args.cap if args.cap is not None else 200,
-                                workers=workers, max_n=args.n)
+    run = _SWEEPS[args.universe]
+    # a universe without a seeded part ignores --cap, one without an
+    # exhaustive part ignores --n; unset --cap keeps the universe's default
+    given = {"workers": _workers(), "max_n": args.n, "seeded": args.cap}
+    accepted = inspect.signature(run).parameters
+    rep = run(**{k: v for k, v in given.items() if k in accepted and v is not None})
     sys.stdout.write("\n".join(rep.lines()) + "\n")
     return 0 if rep.ok else 1
 
@@ -550,9 +481,7 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[], help="emit a named graph family")
-    p.add_argument("--family", required=True,
-                   choices=["complete", "complete-bipartite", "cbme", "c5k",
-                            "random", "random-split", "bridge-complete"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
@@ -572,12 +501,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("construct", help="build a witness with one named method")
     p.add_argument("path", nargs="?", default="-")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--dense", action="store_true")
-    mode.add_argument("--split", action="store_true")
-    mode.add_argument("--double-star", action="store_true",
+    mode.add_argument("--dense", dest="method", action="store_const", const="dense")
+    mode.add_argument("--split", dest="method", action="store_const", const="split")
+    mode.add_argument("--double-star", dest="method", action="store_const", const="double-star",
                       help="spanning double star of the complement of the input")
-    mode.add_argument("--trifree", action="store_true")
-    mode.add_argument("--factor", action="store_true")
+    mode.add_argument("--trifree", dest="method", action="store_const", const="trifree")
+    mode.add_argument("--factor", dest="method", action="store_const", const="factor")
     p.add_argument("--strict", action="store_true",
                    help="with --factor, require edge connectivity at least 4")
     p.set_defaults(func=_cmd_construct)
@@ -600,12 +529,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run an oracle cross-check universe")
     what = p.add_mutually_exclusive_group(required=True)
-    what.add_argument("--dense", action="store_true")
-    what.add_argument("--split", action="store_true")
-    what.add_argument("--trifree", action="store_true")
-    what.add_argument("--packing", action="store_true")
-    what.add_argument("--factor", action="store_true")
-    what.add_argument("--bipartition", action="store_true")
+    for name in _SWEEPS:
+        what.add_argument(f"--{name}", dest="universe", action="store_const", const=name)
     p.add_argument("--n", type=int, default=6, help="exhaustive universe size cap")
     p.add_argument("--cap", type=int, default=None, help="seeded sample size")
     p.set_defaults(func=_cmd_sweep)
@@ -621,14 +546,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ParseError, SelfLoop, DuplicateEdge, ParityArgument, EmptyGraph,
-            MinDegreeTooLow, DiameterTooSmall, NotTriangleFree, BadWitness,
-            DegenerateClique, Disconnected, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
     except (GreedyStalled, ExhaustedCases, NoTreePacking, AssertionError) as exc:
         print(f"internal: {exc}", file=sys.stderr)
         return EX_INTERNAL
+    except (OddSpanError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_DATA
 
 
 if __name__ == "__main__":

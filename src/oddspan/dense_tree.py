@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyGraph, GreedyStalled, MinDegreeTooLow, OddOrder
 from .graph_core import Edge, EdgeSet, Graph, degrees, edge
-from .oracle import verify_odd_spanning_tree
 
 
 @dataclass
@@ -94,7 +93,4 @@ def odd_spanning_tree_dense(g: Graph) -> EdgeSet:
     while len(st.inside) < g.n:
         if not grow_step(h, st):
             raise GreedyStalled(st)
-    tree = frozenset(st.tree)
-    rep = verify_odd_spanning_tree(g, tree)
-    assert rep.ok, rep
-    return tree
+    return frozenset(st.tree)

@@ -92,6 +92,14 @@ class GIsOdd(OddSpanError):
     """Graph has all degrees odd; caller should use the odd-graph construction."""
 
 
+class NotSplit(OddSpanError):
+    """Graph does not split into an independent set and a clique."""
+
+
+class EdgeConnectivityTooLow(OddSpanError):
+    """Edge connectivity below the bound a construction was asked to require."""
+
+
 class DegenerateClique(OddSpanError):
     """Split partition has a single clique vertex; the criterion needs two."""
 

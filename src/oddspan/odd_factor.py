@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import NoTreePacking, NotATree, OddOrder
 from .graph_core import EdgeSet, Graph, degrees, is_spanning_tree, tree_path
-from .oracle import verify_connected_odd_factor
 from .tree_packing import two_edge_disjoint_spanning_trees
 
 
@@ -73,6 +72,4 @@ def connected_odd_factor(g: Graph) -> OddFactorTrace:
     for v, d in enumerate(degrees(result, g.n)):
         assert d % 2 == (d1[v] + flips[v]) % 2 == 1, v
     assert t1 <= result, "repair must not disturb the first tree"
-    rep = verify_connected_odd_factor(g, result)
-    assert rep.ok, rep
     return OddFactorTrace(t1=t1, t2=t2, pairs=pairs, paths=paths, result=result)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import Disconnected, EmptyGraph
-from .graph_core import Edge, EdgeSet, Graph, is_connected
+from .graph_core import Edge, EdgeSet, Graph, is_connected, is_spanning_tree
 
 _ROOT = ("root", -1)
 
@@ -150,10 +150,6 @@ def _extract_certificate(g: Graph, failed: list[tuple[Edge, set[Edge]]]) -> Part
             x = parent[x]
         return x
 
-    if not failed:
-        # All edges placed yet a forest is short: the graph itself has
-        # too few edges, so the all-singletons partition certifies.
-        pass
     for e0, labeled in failed:
         verts = {e0[0], e0[1]}
         for u, v in labeled:
@@ -185,7 +181,8 @@ def verify_packing(g: Graph, outcome: PackingOutcome) -> bool:
         t0, t1 = outcome.trees
         if t0 & t1:
             return False
-        return _is_spanning_tree_of(g, t0) and _is_spanning_tree_of(g, t1)
+        edges = g.edge_set()
+        return all(t <= edges and is_spanning_tree(t, g.n) for t in (t0, t1))
     cert = outcome.cert
     assert cert is not None
     seen: set[int] = set()
@@ -201,25 +198,6 @@ def verify_packing(g: Graph, outcome: PackingOutcome) -> bool:
             index[v] = k
     cross = sum(1 for u, v in g.edge_set() if index[u] != index[v])
     return cross == cert.cross_edges and cross < 2 * (len(cert.parts) - 1)
-
-
-def _is_spanning_tree_of(g: Graph, t: EdgeSet) -> bool:
-    if not t <= g.edge_set() or len(t) != g.n - 1:
-        return False
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in t:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
 
 
 def exhaustive_pair_search(g: Graph) -> tuple[EdgeSet, EdgeSet] | None:

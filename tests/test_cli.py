@@ -8,18 +8,22 @@ from pathlib import Path
 import pytest
 
 import oddspan
-from common import es
+from common import cycle, es
+from oddspan import cli
 from oddspan.cli import (
     Certificate,
+    decide,
     emit_certificate,
     emit_graph,
     main,
     parse_certificate,
     parse_graph,
 )
-from oddspan.errors import DuplicateEdge, ParseError, SelfLoop
-from oddspan.families import gen_random
-from oddspan.graph_core import Graph
+from oddspan.errors import DuplicateEdge, OddSpanError, ParseError, SelfLoop
+from oddspan.families import SPLIT_CONDITION, NonexistenceReason, check_nonexistence, gen_random
+from oddspan.graph_core import Graph, complement
+from oddspan.split import SplitPartition
+from oddspan.sweep import all_graphs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -303,3 +307,105 @@ def test_console_script_pipeline():
     for check in runs:
         assert check.returncode == 0
         assert check.stdout.splitlines()[0] == "EXISTS split-criterion"
+
+
+@pytest.fixture
+def in_process(capsys, monkeypatch):
+    """Run a parsed subcommand on a Graph, skipping argparse per call.
+
+    Returns (exit code, or the error type main would map to one, stdout).
+    """
+    parsed = {}
+
+    def run(argv: tuple[str, ...], g: Graph):
+        if argv not in parsed:
+            parsed[argv] = cli._build_parser().parse_args(list(argv))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(emit_graph(g)))
+        try:
+            code = parsed[argv].func(parsed[argv])
+        except OddSpanError as exc:
+            code = type(exc).__name__
+        return code, capsys.readouterr().out
+
+    return run
+
+
+def _graphs_up_to(n: int):
+    for k in range(n + 1):
+        yield from all_graphs(k)
+
+
+@pytest.mark.parametrize("method", ["split", "trifree", "dense"])
+def test_check_method_matches_construct(in_process, method):
+    for g in _graphs_up_to(5):
+        check = in_process(("check", "--method", method), g)
+        construct = in_process(("construct", f"--{method}"), g)
+        assert check == construct, (method, sorted(g.edge_set()))
+
+
+def test_check_split_nonexistence_certificates_recheck(in_process):
+    # the criterion speaks only about connected graphs, so a disconnected
+    # split graph whose parts meet the condition must get another answer
+    answered = 0
+    for g in _graphs_up_to(6):
+        code, out = in_process(("check", "--method", "split"), g)
+        if not out.startswith("NOT_EXISTS split-criterion"):
+            continue
+        parts = dict(parse_certificate(out).parts)
+        sp = SplitPartition(x=frozenset(parts["x"]), y=parts["y"])
+        assert code == 1
+        assert check_nonexistence(g, NonexistenceReason(SPLIT_CONDITION, sp)), out
+        answered += 1
+    assert answered > 0
+
+
+def _count_verifies(monkeypatch) -> list[int]:
+    """Count witness verifications at every call site in the package,
+    the CLI's binding included, so a constructor that re-verifies shows."""
+    calls = [0]
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "oddspan"]
+    for name in ("verify_odd_spanning_tree", "verify_connected_odd_factor"):
+        real = getattr(cli, name)
+
+        def counted(*args, _real=real):
+            calls[0] += 1
+            return _real(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_decide_verifies_each_witness_once(monkeypatch):
+    calls = _count_verifies(monkeypatch)
+    stages = {
+        "split-criterion": Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        "trifree-complement": complement(cycle(6)),
+        "dense-min-degree": complement(Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+        "oracle-exhaustive": Graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)]),
+    }
+    for method, g in stages.items():
+        calls[0] = 0
+        cert = decide(g)
+        assert (cert.verdict, cert.method) == ("EXISTS", method)
+        assert calls[0] == 1, method
+
+
+def test_construct_verifies_each_witness_once(capsys, monkeypatch):
+    calls = _count_verifies(monkeypatch)
+    for flag, text in [("--dense", K6), ("--split", K4), ("--double-star", P6),
+                       ("--trifree", K4), ("--factor", K6)]:
+        calls[0] = 0
+        code, out = run_cli(capsys, "construct", flag, stdin=text)
+        assert code == 0 and out.startswith("EXISTS"), flag
+        assert calls[0] == 1, flag
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
