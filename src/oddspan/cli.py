@@ -158,14 +158,18 @@ def emit_certificate(c: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CERT_LINE_SHAPE = {"T": "'T u v'", "P": "'P name:v,v,...'", "C": "'C count'"}
+
+
 def parse_certificate(text: str) -> Certificate:
+    """Certificate reader; '#' starts a comment, as in ``parse_graph``."""
     header: tuple[str, str] | None = None
     edges: set[tuple[int, int]] = set()
     parts: list[tuple[str, tuple[int, ...]]] = []
     reason: str | None = None
     count: int | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.strip()
+        body = raw.split("#", 1)[0].strip()
         if not body:
             continue
         if header is None:
@@ -175,21 +179,21 @@ def parse_certificate(text: str) -> Certificate:
             header = (bits[0], bits[1])
             continue
         tag, _, rest = body.partition(" ")
-        if tag == "T":
-            bits = rest.split()
-            if len(bits) != 2:
-                raise ParseError(lineno, "T line must be 'T u v'")
-            edges.add(edge(int(bits[0]), int(bits[1])))
-        elif tag == "P":
-            name, _, csv = rest.partition(":")
-            vs = tuple(int(x) for x in csv.split(",") if x != "")
-            parts.append((name, vs))
-        elif tag == "R":
-            reason = rest
-        elif tag == "C":
-            count = int(rest)
-        else:
-            raise ParseError(lineno, f"unknown certificate line tag {tag!r}")
+        try:
+            if tag == "T":
+                u, v = map(int, rest.split())
+                edges.add(edge(u, v))
+            elif tag == "P":
+                name, _, csv = rest.partition(":")
+                parts.append((name, tuple(int(x) for x in csv.split(",") if x != "")))
+            elif tag == "R":
+                reason = rest
+            elif tag == "C":
+                count = int(rest)
+            else:
+                raise ParseError(lineno, f"unknown certificate line tag {tag!r}")
+        except ValueError:
+            raise ParseError(lineno, f"{tag} line must be {_CERT_LINE_SHAPE[tag]}") from None
     if header is None:
         raise ParseError(1, "empty certificate")
     return Certificate(
@@ -368,10 +372,12 @@ def _load_graph(args) -> Graph:
 
 
 def _workers() -> int:
+    """Sweep worker count: ``ODD_SPAN_THREADS``, clamped to 1..cpu_count."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("ODD_SPAN_THREADS", "").strip()
     if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+        return min(max(1, int(raw)), cpus)
+    return cpus
 
 
 def _emit(cert: Certificate) -> int:
@@ -492,8 +498,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="decide whether an odd spanning tree exists")
     p.add_argument("path", nargs="?", default="-")
-    p.add_argument("--odd-spanning-tree", action="store_true",
-                   help="decide odd spanning tree existence (the default and only mode)")
+    # a no-op kept so that scripts which pass it still run
+    p.add_argument("--odd-spanning-tree", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--method", default="auto",
                    choices=["auto", "split", "trifree", "dense", "oracle"])
     p.set_defaults(func=_cmd_check)

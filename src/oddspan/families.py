@@ -222,22 +222,70 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
     raise BadWitness(f"unknown reason kind {r.kind!r}")
 
 
+def _lowlink_dfs(g: Graph) -> tuple[list[int], list[int], list[int], list[int]] | None:
+    """One iterative DFS from vertex 0: parent, discovery time, lowlink, subtree size.
+
+    None when some vertex is unreached, that is, when g is disconnected.
+    The tree edge (parent[c], c) is a bridge iff low[c] > disc[parent[c]]
+    (Tarjan 1974), and removing it leaves size[c] vertices on c's side.
+    An explicit stack keeps long paths clear of the recursion limit.
+    """
+    n = g.n
+    parent = [-1] * n
+    disc = [-1] * n
+    low = [0] * n
+    size = [1] * n
+    disc[0] = 0
+    t = 1
+    stack = [(0, iter(g.adj[0]))]
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                parent[w] = v
+                disc[w] = low[w] = t
+                t += 1
+                stack.append((w, iter(g.adj[w])))
+                break
+            if w != parent[v] and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p >= 0:
+                size[p] += size[v]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+    if t < n:
+        return None
+    return parent, disc, low, size
+
+
 def find_nonexistence(g: Graph) -> NonexistenceReason | None:
     """Search for a parity-based nonexistence witness.
 
-    Bipartite with both classes even wins first; otherwise the first
+    Bipartite with both classes even wins first; otherwise the least
     bridge (canonical edge order) with two even sides.  Absence proves
-    nothing.
+    nothing.  One lowlink DFS finds connectivity and every bridge in
+    O(n + m); ``check_nonexistence`` re-checks a bridge the slow way.
     """
-    if not is_connected(g):
+    if g.n == 0:
+        raise EmptyGraph("nonexistence search expects a nonempty graph")
+    dfs = _lowlink_dfs(g)
+    if dfs is None:
         raise Disconnected("nonexistence search expects a connected graph")
     if g.n % 2:
         raise OddOrder(f"order {g.n} is odd; no odd graph of odd order exists")
     bp = bipartition(g)
     if bp is not None and len(bp.left) % 2 == 0 and len(bp.right) % 2 == 0:
         return NonexistenceReason(BIPARTITE_EVEN_PARTS, bp)
-    for e in sorted(g.edge_set()):
-        comps = _components_without(g, e)
-        if len(comps) == 2 and all(len(c) % 2 == 0 for c in comps):
-            return NonexistenceReason(BRIDGE_EVEN_SIDES, e)
+    parent, disc, low, size = dfs
+    # n is even, so both sides of a bridge are even iff c's side is
+    bridges = [
+        edge(parent[c], c)
+        for c in range(1, g.n)
+        if size[c] % 2 == 0 and low[c] > disc[parent[c]]
+    ]
+    if bridges:
+        return NonexistenceReason(BRIDGE_EVEN_SIDES, min(bridges))
     return None

@@ -102,6 +102,42 @@ def test_certificate_round_trip():
     assert back.edges == tree.edges
 
 
+def test_parse_certificate_strips_comments():
+    text = (
+        "# written by hand\n"
+        "EXISTS dense-min-degree  # header\n"
+        "T 0 1 # first edge\n"
+        "   # an indented comment line\n"
+        "T 0 2#no space\n"
+        "P left:0,1  # part\n"
+        "R some-reason # why\n"
+        "C 3 # count\n"
+    )
+    back = parse_certificate(text)
+    assert (back.verdict, back.method) == ("EXISTS", "dense-min-degree")
+    assert back.edges == es((0, 1), (0, 2))
+    assert back.parts == (("left", (0, 1)),)
+    assert back.reason == "some-reason" and back.count == 3
+    with pytest.raises(ParseError) as info:
+        parse_certificate("# only a comment\n")
+    assert info.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "line", ["T 0 x", "T 0", "T 0 1 2", "T 1.5 2", "P left:0,a", "P left:0;1", "C many", "C"]
+)
+def test_parse_certificate_non_integer_field(capsys, tmp_path, line):
+    with pytest.raises(ParseError) as info:
+        parse_certificate(f"EXISTS dense-min-degree\nT 0 1\n{line}\n")
+    assert info.value.line == 3 and line[0] in str(info.value)
+    graph = tmp_path / "k4.txt"
+    graph.write_text(K4)
+    cert = tmp_path / "cert.txt"
+    cert.write_text(f"EXISTS dense-min-degree\n{line}\n")
+    assert main(["verify", str(graph), "--certificate", str(cert)]) == 65
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 def test_emit_refuses_unverified_exists():
     with pytest.raises(AssertionError):
         emit_certificate(Certificate("EXISTS", "dense-min-degree", edges=es((0, 1))))
@@ -281,6 +317,33 @@ def test_sweep_worker_count_does_not_change_output(capsys, monkeypatch):
     monkeypatch.setenv("ODD_SPAN_THREADS", "1")
     _, one = run_cli(capsys, "sweep", "--trifree", "--n", "4", "--cap", "8")
     assert one == two
+
+
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("ODD_SPAN_THREADS", raising=False)
+    assert cli._workers() == 4
+    for raw, want in (("2", 2), (" 4 ", 4), ("5", 4), ("1000000", 4), ("0", 1), ("-3", 1)):
+        monkeypatch.setenv("ODD_SPAN_THREADS", raw)
+        assert cli._workers() == want, raw
+    monkeypatch.setenv("ODD_SPAN_THREADS", "lots")
+    with pytest.raises(ValueError):
+        cli._workers()
+    # os.cpu_count() may not know; then one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("ODD_SPAN_THREADS", "8")
+    assert cli._workers() == 1
+    monkeypatch.delenv("ODD_SPAN_THREADS")
+    assert cli._workers() == 1
+
+
+def test_check_odd_spanning_tree_flag_is_accepted_and_hidden(capsys):
+    assert run_cli(capsys, "check", "--odd-spanning-tree", stdin=C4) == run_cli(
+        capsys, "check", stdin=C4
+    )
+    code, out = run_cli(capsys, "check", "--help")
+    assert code == 0 and "--method" in out
+    assert "odd-spanning-tree" not in out
 
 
 def _pipeline(cmd: list[str], env: dict | None = None) -> subprocess.CompletedProcess:

@@ -9,6 +9,7 @@ from oddspan.families import (
     EXCLUDED_FAMILY,
     SPLIT_CONDITION,
     NonexistenceReason,
+    _components_without,
     _SplitMix,
     check_nonexistence,
     find_nonexistence,
@@ -20,7 +21,7 @@ from oddspan.families import (
     gen_random,
     gen_random_split,
 )
-from oddspan.graph_core import Bipartition, Graph, is_connected
+from oddspan.graph_core import Bipartition, Graph, bipartition, is_connected
 from oddspan.oracle import find_odd_spanning_tree_bruteforce
 from oddspan.split import SplitPartition
 
@@ -161,6 +162,8 @@ def test_find_nonexistence_named():
         find_nonexistence(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(OddOrder):
         find_nonexistence(cycle(5))
+    with pytest.raises(EmptyGraph):
+        find_nonexistence(Graph(0))
 
 
 def test_find_nonexistence_agrees_with_oracle():
@@ -175,3 +178,75 @@ def test_find_nonexistence_agrees_with_oracle():
                 assert check_nonexistence(g, r)
                 assert find_odd_spanning_tree_bruteforce(g) is None
     assert found > 100
+
+
+def _per_edge_scan(g: Graph) -> NonexistenceReason | None:
+    """Reference witness search: one ``_components_without`` pass per edge.
+
+    Independent of the lowlink DFS in ``find_nonexistence``, which must
+    return the same reason.
+    """
+    bp = bipartition(g)
+    if bp is not None and len(bp.left) % 2 == 0 and len(bp.right) % 2 == 0:
+        return NonexistenceReason(BIPARTITE_EVEN_PARTS, bp)
+    for e in sorted(g.edge_set()):
+        comps = _components_without(g, e)
+        if len(comps) == 2 and all(len(c) % 2 == 0 for c in comps):
+            return NonexistenceReason(BRIDGE_EVEN_SIDES, e)
+    return None
+
+
+def _cross_check_graphs():
+    from oddspan.sweep import all_connected_graphs
+
+    for n in (2, 4, 6):
+        yield from all_connected_graphs(n)
+    for n in range(8, 31, 2):
+        for i, p in enumerate((0.1, 0.2, 0.3, 0.4, 0.5)):
+            for seed in range(6):
+                yield gen_random(n, p, 100 * n + 10 * i + seed)
+    # bridge joins of cliques, every even/odd size mix, joined at both ends
+    for a in range(1, 11):
+        for b in range(1, 11):
+            yield gen_bridge_join(gen_complete(a), gen_complete(b), 0, 0)
+            yield gen_bridge_join(gen_complete(a), gen_complete(b), a - 1, b - 1)
+
+
+def test_find_nonexistence_matches_per_edge_scan():
+    checked = bridges = 0
+    for g in _cross_check_graphs():
+        if g.n % 2 or not is_connected(g):
+            continue
+        r = find_nonexistence(g)
+        assert r == _per_edge_scan(g), sorted(g.edge_set())
+        checked += 1
+        bridges += r is not None and r.kind == BRIDGE_EVEN_SIDES
+    assert checked > 26000 and bridges > 3000
+
+
+def test_find_nonexistence_returns_least_of_several_bridges():
+    # K4 {0..3} with bridges (0, 4) and (1, 8) to K4 {4..7} and K4 {8..11}.
+    # A DFS from 0 that scans neighbours in ascending order enters 1 first
+    # and meets (1, 8) before (0, 4), in preorder and in postorder.
+    k4 = gen_complete(4)
+    g = gen_bridge_join(gen_bridge_join(k4, k4, 0, 0), k4, 1, 0)
+    assert g.has_edge(0, 4) and g.has_edge(1, 8)
+    # chain K4 - K4 - K6: the deeper bridge (7, 8) finishes first
+    chain = gen_bridge_join(gen_bridge_join(k4, k4, 3, 0), gen_complete(6), 7, 0)
+    for h, least in ((g, (0, 4)), (chain, (3, 4))):
+        qualifying = [
+            e for e in sorted(h.edge_set())
+            if check_nonexistence(h, NonexistenceReason(BRIDGE_EVEN_SIDES, e))
+        ]
+        assert len(qualifying) == 2 and qualifying[0] == least
+        assert find_nonexistence(h) == NonexistenceReason(BRIDGE_EVEN_SIDES, least)
+
+
+def test_find_nonexistence_long_path_needs_no_recursion():
+    # a 5000-vertex path whose far end closes into a triangle: deeper than
+    # the default recursion limit, and not bipartite, so the bridge scan runs
+    n = 5000
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)] + [(n - 3, n - 1)])
+    r = find_nonexistence(g)
+    assert r == NonexistenceReason(BRIDGE_EVEN_SIDES, (1, 2))
+    assert check_nonexistence(g, r)
