@@ -53,6 +53,7 @@ from .graph_core import (
     diameter,
     edge,
     edge_connectivity,
+    edge_connectivity_at_least,
     is_connected,
     is_triangle_free,
 )
@@ -283,10 +284,8 @@ def _double_star(g: Graph) -> Certificate:
 def _factor(g: Graph, strict: bool = False) -> Certificate:
     if not is_connected(g):
         return _DISCONNECTED
-    if strict:
-        lam = edge_connectivity(g)
-        if lam < 4:
-            raise EdgeConnectivityTooLow(f"edge connectivity {lam} < 4")
+    if strict and not edge_connectivity_at_least(g, 4):
+        raise EdgeConnectivityTooLow(f"edge connectivity {edge_connectivity(g)} < 4")
     try:
         trace = connected_odd_factor(g)
     except NoTreePacking as exc:

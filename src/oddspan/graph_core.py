@@ -28,8 +28,10 @@ __all__ = [
     "tree_path",
     "symmetric_difference",
     "edge_connectivity",
+    "edge_connectivity_at_least",
     "diameter",
     "is_triangle_free",
+    "find_root",
 ]
 
 Edge = tuple[int, int]
@@ -257,14 +259,18 @@ def symmetric_difference(a: EdgeSet, b: EdgeSet) -> EdgeSet:
     return frozenset(a ^ b)
 
 
-def _max_flow_unit(g: Graph, s: int, t: int) -> int:
-    """Max s-t flow with every edge at capacity 1 in both directions."""
+def _max_flow_unit(g: Graph, s: int, t: int, bound: int | None = None) -> int:
+    """Max s-t flow with every edge at capacity 1 in both directions.
+
+    With ``bound`` the search stops after that many augmenting paths, so
+    the result is min(max flow, bound).
+    """
     cap: dict[Edge, int] = {}
     for u in range(g.n):
         for v in g.adj[u]:
             cap[(u, v)] = 1
     flow = 0
-    while True:
+    while bound is None or flow < bound:
         parent = {s: s}
         queue = deque([s])
         while queue and t not in parent:
@@ -282,6 +288,7 @@ def _max_flow_unit(g: Graph, s: int, t: int) -> int:
             cap[(v, u)] += 1
             v = u
         flow += 1
+    return flow
 
 
 def edge_connectivity(g: Graph) -> int:
@@ -295,6 +302,23 @@ def edge_connectivity(g: Graph) -> int:
     if not is_connected(g):
         return 0
     return min(_max_flow_unit(g, 0, t) for t in range(1, g.n))
+
+
+def edge_connectivity_at_least(g: Graph, k: int) -> bool:
+    """``edge_connectivity(g) >= k`` without computing the exact value.
+
+    Edge connectivity never exceeds the minimum degree, so a vertex of
+    degree below k answers at once.  Otherwise each unit flow from vertex
+    0 stops after k augmenting paths, and the first sink reached by fewer
+    answers False; a sink outside vertex 0's component is reached by none.
+    """
+    if g.n < 2:
+        raise EmptyGraph("edge connectivity needs at least two vertices")
+    if k <= 0:
+        return True
+    if g.min_degree() < k:
+        return False
+    return all(_max_flow_unit(g, 0, t, k) == k for t in range(1, g.n))
 
 
 def diameter(g: Graph) -> int:
@@ -321,3 +345,11 @@ def is_triangle_free(g: Graph) -> bool:
             if u < v and g.adj[u] & g.adj[v]:
                 return False
     return True
+
+
+def find_root(parent: list[int], x: int) -> int:
+    """Union-find root of x in a parent array, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x

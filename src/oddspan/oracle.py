@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import Disconnected, SizeCap
-from .graph_core import EdgeSet, Graph, degrees, is_connected
+from .graph_core import EdgeSet, Graph, degrees, find_root, is_connected
 
 NOT_SUBGRAPH = "not-subgraph"
 WRONG_EDGE_COUNT = "wrong-edge-count"
@@ -50,7 +50,7 @@ def verify_odd_spanning_tree(g: Graph, t: EdgeSet) -> VerifyReport:
         return VerifyReport(False, WRONG_EDGE_COUNT)
     parent = list(range(g.n))
     for u, v in sorted(t):
-        ru, rv = _find(parent, u), _find(parent, v)
+        ru, rv = find_root(parent, u), find_root(parent, v)
         if ru == rv:
             return VerifyReport(False, HAS_CYCLE)
         parent[ru] = rv
@@ -87,20 +87,13 @@ def verify_connected_odd_factor(g: Graph, f: EdgeSet) -> VerifyReport:
     return _OK
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _reconnectable(parent: list[int], ncomp: int, edges: list[tuple[int, int]], start: int) -> bool:
     # Can the components of `parent` still be merged using edges[start:]?
     scratch = parent.copy()
     left = ncomp
     for k in range(start, len(edges)):
         u, v = edges[k]
-        ru, rv = _find(scratch, u), _find(scratch, v)
+        ru, rv = find_root(scratch, u), find_root(scratch, v)
         if ru != rv:
             scratch[ru] = rv
             left -= 1
@@ -148,7 +141,7 @@ def enumerate_spanning_trees(
         if i == m or m - i < ncomp - 1:
             return
         u, v = edges[i]
-        ru, rv = _find(parent, u), _find(parent, v)
+        ru, rv = find_root(parent, u), find_root(parent, v)
         if ru != rv:
             child = parent.copy()
             child[ru] = rv
@@ -201,7 +194,7 @@ def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
         undecided[u] -= 1
         undecided[v] -= 1
         try:
-            ru, rv = _find(parent, u), _find(parent, v)
+            ru, rv = find_root(parent, u), find_root(parent, v)
             if ru != rv:
                 deg[u] += 1
                 deg[v] += 1
@@ -259,7 +252,7 @@ def find_connected_odd_factor_bruteforce(g: Graph) -> EdgeSet | None:
             deg[u] += 1
             deg[v] += 1
             if parity_ok(u) and parity_ok(v):
-                ru, rv = _find(parent, u), _find(parent, v)
+                ru, rv = find_root(parent, u), find_root(parent, v)
                 child = parent
                 nc = ncomp
                 if ru != rv:

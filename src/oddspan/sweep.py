@@ -28,7 +28,7 @@ from .graph_core import (
     bipartition,
     complement,
     edge,
-    edge_connectivity,
+    edge_connectivity_at_least,
     is_connected,
     is_triangle_free,
     tree_bipartition,
@@ -367,7 +367,7 @@ def _packing_case(case: Case) -> tuple[str | None, str]:
             f"certificate issued but a disjoint pair exists on n={n} edges={edges}",
             "certificate",
         )
-    if edge_connectivity(g) >= 4:
+    if edge_connectivity_at_least(g, 4):
         return (f"4-edge-connected graph got a certificate: n={n} edges={edges}", "certificate")
     return (None, "certificate")
 
@@ -416,7 +416,7 @@ def sweep_factor(seeded: int = 100, workers: int = 1) -> SweepReport:
         n = grid[i % len(grid)]
         p = ps[(i // len(grid)) % len(ps)]
         g = gen_random(n, p, i)
-        if is_connected(g) and edge_connectivity(g) >= 4:
+        if edge_connectivity_at_least(g, 4):
             return _case(g)
         return None
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import Disconnected, EmptyGraph
-from .graph_core import Edge, EdgeSet, Graph, is_connected, is_spanning_tree
+from .graph_core import Edge, EdgeSet, Graph, find_root, is_connected, is_spanning_tree
 
 _ROOT = ("root", -1)
 
@@ -94,9 +94,14 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
     )
     in_forest: dict[Edge, int] = {}
     failed: list[tuple[Edge, set[Edge]]] = []
+    # A failed offer leaves both forests as they were, so the components
+    # change only after an augmentation; once both forests span, every
+    # later offer would fail, so the scan stops there.
+    comp = [_forest_components(forests[0], n), _forest_components(forests[1], n)]
 
     for e0 in sorted(g.edge_set()):
-        comp = [_forest_components(forests[0], n), _forest_components(forests[1], n)]
+        if len(in_forest) == 2 * (n - 1):
+            break
         label: dict[Edge, tuple[Edge, int]] = {e0: _ROOT}
         queue: deque[tuple[Edge, int]] = deque([(e0, 0), (e0, 1)])
         chain: tuple[Edge, int] | None = None
@@ -129,6 +134,7 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
             in_forest[f] = i
             h = f
             parent = label[h]
+        comp = [_forest_components(forests[0], n), _forest_components(forests[1], n)]
 
     t0 = frozenset(e for e, i in in_forest.items() if i == 0)
     t1 = frozenset(e for e, i in in_forest.items() if i == 1)
@@ -143,13 +149,6 @@ def _extract_certificate(g: Graph, failed: list[tuple[Edge, set[Edge]]]) -> Part
     # vertices become singletons.
     n = g.n
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e0, labeled in failed:
         verts = {e0[0], e0[1]}
         for u, v in labeled:
@@ -157,12 +156,12 @@ def _extract_certificate(g: Graph, failed: list[tuple[Edge, set[Edge]]]) -> Part
             verts.add(v)
         anchor = min(verts)
         for v in verts:
-            ra, rv = find(anchor), find(v)
+            ra, rv = find_root(parent, anchor), find_root(parent, v)
             if ra != rv:
                 parent[rv] = ra
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(find_root(parent, v), []).append(v)
     parts = tuple(
         frozenset(vs) for _, vs in sorted(groups.items(), key=lambda kv: min(kv[1]))
     )
@@ -209,10 +208,14 @@ def exhaustive_pair_search(g: Graph) -> tuple[EdgeSet, EdgeSet] | None:
 
     if not is_connected(g):
         raise Disconnected("pair search expects a connected graph")
+    if g.m < 2 * (g.n - 1):
+        # two disjoint spanning trees need n - 1 edges each
+        return None
+    edges = g.edge_set()
     result: list[tuple[EdgeSet, EdgeSet]] = []
 
     def try_first(t1: EdgeSet) -> bool:
-        rest = Graph(g.n, g.edge_set() - t1)
+        rest = Graph(g.n, edges - t1)
         if g.n == 1 or is_connected(rest):
             # A connected leftover contains a spanning tree disjoint
             # from t1; take any one of them.

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oddspan
-from common import cycle, es
+from common import cycle, es, joined_cliques
 from oddspan import cli
 from oddspan.cli import (
     Certificate,
@@ -21,9 +21,10 @@ from oddspan.cli import (
 )
 from oddspan.errors import DuplicateEdge, OddSpanError, ParseError, SelfLoop
 from oddspan.families import SPLIT_CONDITION, NonexistenceReason, check_nonexistence, gen_random
-from oddspan.graph_core import Graph, complement
+from oddspan.graph_core import Graph, complement, edge_connectivity
 from oddspan.split import SplitPartition
 from oddspan.sweep import all_graphs
+from oddspan.tree_packing import two_edge_disjoint_spanning_trees
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -212,6 +213,40 @@ def test_construct_factor_strict(capsys):
     assert code == 65
     code, _ = run_cli(capsys, "construct", "--dense", "--strict", stdin=K6)
     assert code == 64
+
+
+def test_construct_factor_strict_refusal_message(capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return edge_connectivity(g)
+
+    monkeypatch.setattr(cli, "edge_connectivity", counted)
+    # C4 fails the minimum-degree test; two K5 joined by three edges
+    # (minimum degree 4, edge connectivity 3) fail only the bounded flows
+    for g, lam in ((cycle(4), 2), (joined_cliques(5, 3), 3)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(emit_graph(g)))
+        assert main(["construct", "--factor", "--strict"]) == 65
+        assert capsys.readouterr() == ("", f"error: edge connectivity {lam} < 4\n")
+    assert len(calls) == 2
+    # the exact value is computed on the refusal path only
+    code, out = run_cli(capsys, "construct", "--factor", "--strict", stdin=K6)
+    assert code == 0 and out == golden("construct", "factor-k6")
+    assert len(calls) == 2
+
+
+def test_construct_factor_random_16_golden(capsys):
+    # gen_random(16, 0.8, 1) is 4-edge-connected; both forests of the
+    # packing span after 36 of its 93 edges, so the packing stops early
+    _, host = run_cli(capsys, "gen", "--family", "random", "--n", "16", "--p", "0.8", "--seed", "1")
+    for argv in (["construct", "--factor"], ["construct", "--factor", "--strict"]):
+        code, out = run_cli(capsys, *argv, stdin=host)
+        assert code == 0 and out == golden("construct", "factor-random-16")
+    g = parse_graph(host)
+    t0, t1 = two_edge_disjoint_spanning_trees(g).trees
+    edges = sorted(g.edge_set())
+    assert max(edges.index(e) for e in t0 | t1) == 35 and len(edges) == 93
 
 
 def test_construct_trifree_goldens(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from common import complete, cycle, es, path
+from common import complete, cycle, es, joined_cliques, path
 from oddspan.errors import Disconnected, EmptyGraph, SelfLoop
 from oddspan.families import gen_complete_bipartite, gen_random
 from oddspan.graph_core import (
@@ -10,6 +10,8 @@ from oddspan.graph_core import (
     diameter,
     edge,
     edge_connectivity,
+    edge_connectivity_at_least,
+    find_root,
     is_connected,
     is_spanning_tree,
     is_triangle_free,
@@ -18,7 +20,7 @@ from oddspan.graph_core import (
     tree_path,
 )
 from oddspan.oracle import enumerate_spanning_trees
-from oddspan.sweep import circulant
+from oddspan.sweep import all_graphs, circulant
 
 
 def test_edge_normalizes_and_rejects_loops():
@@ -156,6 +158,62 @@ def test_edge_connectivity_at_most_min_degree():
         if g.m == 0:
             continue
         assert edge_connectivity(g) <= g.min_degree()
+
+
+def test_edge_connectivity_at_least_matches_exact_on_small_graphs():
+    # every labeled graph with n <= 6, disconnected and edgeless ones included
+    bounded = 0
+    for n in range(2, 7):
+        for g in all_graphs(n):
+            lam = edge_connectivity(g)
+            for k in range(7):
+                assert edge_connectivity_at_least(g, k) == (lam >= k), (n, sorted(g.edge_set()), k)
+                bounded += lam < k <= g.min_degree()
+    # the answer often rests on the bounded flows, not on the degree test
+    assert bounded > 500
+
+
+def test_edge_connectivity_at_least_matches_exact_seeded():
+    # plain draws, and two dense draws joined by one to three edges, whose
+    # cut sits below the minimum degree
+    bounded = 0
+    for i in range(90):
+        n = 8 + i % 9
+        if i % 2 == 0:
+            g = gen_random(n, 0.3 + 0.1 * (i % 7), i)
+        else:
+            h = n // 2
+            a, b = gen_random(h, 0.9, i), gen_random(n - h, 0.9, i + 1)
+            links = [(j, h + j) for j in range(1 + i % 3)]
+            g = Graph(n, [*a.edge_set(), *((u + h, v + h) for u, v in b.edge_set()), *links])
+        lam = edge_connectivity(g)
+        for k in range(n + 1):
+            assert edge_connectivity_at_least(g, k) == (lam >= k), (n, i, k)
+            bounded += lam < k <= g.min_degree()
+    assert bounded > 0
+
+
+def test_edge_connectivity_at_least_named():
+    g = joined_cliques(5, 3)
+    assert g.min_degree() == 4 and edge_connectivity(g) == 3
+    assert edge_connectivity_at_least(g, 3)
+    assert not edge_connectivity_at_least(g, 4)
+    assert edge_connectivity_at_least(circulant(8, (1, 2)), 4)
+    assert not edge_connectivity_at_least(cycle(4), 4)
+    # minimum degree 1 but no path from vertex 0 to vertex 2
+    assert not edge_connectivity_at_least(Graph(4, [(0, 1), (2, 3)]), 1)
+    assert edge_connectivity_at_least(Graph(4), 0)
+    for n in (0, 1):
+        with pytest.raises(EmptyGraph):
+            edge_connectivity_at_least(Graph(n), 0)
+
+
+def test_find_root_halves_paths():
+    parent = [0, 0, 1, 2, 3]
+    assert find_root(parent, 4) == 0
+    assert parent == [0, 0, 0, 2, 2]
+    assert find_root(parent, 4) == 0
+    assert find_root([0, 1, 2], 2) == 2
 
 
 def test_diameter():

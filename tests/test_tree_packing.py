@@ -1,8 +1,11 @@
 import random
+from collections import deque
 
 from common import complete, cycle, path
-from oddspan.families import gen_complete_bipartite
-from oddspan.graph_core import edge_connectivity, is_spanning_tree
+from oddspan import tree_packing
+from oddspan.families import gen_complete_bipartite, gen_random
+from oddspan.graph_core import Graph, edge_connectivity, find_root, is_connected, is_spanning_tree
+from oddspan.oracle import enumerate_spanning_trees
 from oddspan.sweep import all_connected_graphs, circulant
 from oddspan.tree_packing import (
     PackingOutcome,
@@ -95,3 +98,111 @@ def test_exhaustive_pair_search_k4():
     t1, t2 = pair
     assert is_spanning_tree(t1, 4) and is_spanning_tree(t2, 4) and not (t1 & t2)
     assert exhaustive_pair_search(cycle(4)) is None
+
+
+def _offer_every_edge(g):
+    """The packing loop without its early exits: both forests' components
+    are rebuilt before every edge, and every edge is offered."""
+    n = g.n
+    forests = ({v: set() for v in range(n)}, {v: set() for v in range(n)})
+    in_forest = {}
+    failed = []
+    for e0 in sorted(g.edge_set()):
+        comp = [tree_packing._forest_components(forests[i], n) for i in (0, 1)]
+        label = {e0: tree_packing._ROOT}
+        queue = deque([(e0, 0), (e0, 1)])
+        chain = None
+        while queue:
+            f, i = queue.popleft()
+            if comp[i][f[0]] != comp[i][f[1]]:
+                chain = (f, i)
+                break
+            for h in tree_packing._forest_path(forests[i], f[0], f[1]):
+                if h not in label:
+                    label[h] = (f, i)
+                    queue.append((h, 1 - i))
+        if chain is None:
+            failed.append((e0, set(label)))
+            continue
+        h, j = chain
+        forests[j][h[0]].add(h[1])
+        forests[j][h[1]].add(h[0])
+        in_forest[h] = j
+        parent = label[h]
+        while parent != tree_packing._ROOT:
+            f, i = parent
+            forests[i][h[0]].discard(h[1])
+            forests[i][h[1]].discard(h[0])
+            forests[i][f[0]].add(f[1])
+            forests[i][f[1]].add(f[0])
+            in_forest[f] = i
+            h = f
+            parent = label[h]
+    t0 = frozenset(e for e, i in in_forest.items() if i == 0)
+    t1 = frozenset(e for e, i in in_forest.items() if i == 1)
+    if len(t0) == n - 1 and len(t1) == n - 1:
+        return PackingOutcome(trees=(t0, t1))
+    return PackingOutcome(cert=tree_packing._extract_certificate(g, failed))
+
+
+def _unpruned_pair_search(g):
+    """exhaustive_pair_search without the edge-count test: every spanning
+    tree is tried as the first tree, in enumeration order, until the
+    leftover edges connect the graph (checked here with a union-find)."""
+    edges = g.edge_set()
+    result = []
+
+    def try_first(t1):
+        rest = edges - t1
+        parent = list(range(g.n))
+        comps = g.n
+        for u, v in rest:
+            ru, rv = find_root(parent, u), find_root(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                comps -= 1
+        if comps > 1:
+            return True
+        t2 = []
+        enumerate_spanning_trees(Graph(g.n, rest), lambda t: t2.append(t) or False)
+        result.append((t1, t2[0]))
+        return False
+
+    enumerate_spanning_trees(g, try_first)
+    return result[0] if result else None
+
+
+def test_packing_matches_offer_every_edge_on_small_graphs():
+    stopped_early = 0
+    for n in range(2, 7):
+        for g in all_connected_graphs(n):
+            out = two_edge_disjoint_spanning_trees(g)
+            edges = sorted(g.edge_set())
+            assert out == _offer_every_edge(g), (n, edges)
+            if out.trees is not None:
+                # the last edge either tree took comes before the last edge
+                stopped_early += max(map(edges.index, out.trees[0] | out.trees[1])) < g.m - 1
+    assert stopped_early > 1000
+
+
+def test_packing_matches_offer_every_edge_seeded():
+    outcomes = set()
+    for i in range(60):
+        n = 8 + i % 23
+        g = gen_random(n, 0.3 + 0.1 * (i % 7), i)
+        if not is_connected(g):
+            continue
+        out = two_edge_disjoint_spanning_trees(g)
+        assert out == _offer_every_edge(g), (n, i)
+        outcomes.add(out.trees is None)
+    assert outcomes == {True, False}
+
+
+def test_pair_search_matches_unpruned_on_small_graphs():
+    pruned = 0
+    for n in range(2, 7):
+        for g in all_connected_graphs(n):
+            pair = exhaustive_pair_search(g)
+            assert pair == _unpruned_pair_search(g), (n, sorted(g.edge_set()))
+            pruned += g.m < 2 * (n - 1)
+    assert pruned > 0
