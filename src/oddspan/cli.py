@@ -65,14 +65,7 @@ from .oracle import (
     verify_odd_spanning_tree,
 )
 from .split import double_star_in_complement, find_split_partition, split_odd_spanning_tree
-from .sweep import (
-    sweep_bipartition,
-    sweep_dense,
-    sweep_factor,
-    sweep_packing,
-    sweep_split,
-    sweep_trifree,
-)
+from .sweep import UNIVERSES
 from .trifree import trifree_complement_tree
 
 EXISTS = "EXISTS"
@@ -323,11 +316,12 @@ def decide(g: Graph) -> Certificate:
     """Escalate through the decision methods from cheap to exhaustive."""
     if g.n == 0:
         raise EmptyGraph("no vertices")
-    if not is_connected(g):
+    try:
+        why = find_nonexistence(g)
+    except Disconnected:
         return _DISCONNECTED
-    if g.n % 2:
+    except OddOrder:
         return _odd_order(g)
-    why = find_nonexistence(g)
     if why is not None:
         if why.kind == "bipartite-even-parts":
             bp = why.witness
@@ -452,7 +446,7 @@ def _cmd_info(args) -> int:
     lines.append("degrees " + ",".join(str(g.degree(v)) for v in range(g.n)))
     conn = is_connected(g)
     lines.append(f"connected {'true' if conn else 'false'}")
-    lines.append(f"edge-connectivity {edge_connectivity(g) if g.n else 0}")
+    lines.append(f"edge-connectivity {edge_connectivity(g) if g.n >= 2 else 0}")
     lines.append(f"diameter {diameter(g) if conn else 'inf'}")
     lines.append(f"split {'true' if find_split_partition(g) is not None else 'false'}")
     lines.append(f"triangle-free {'true' if is_triangle_free(g) else 'false'}")
@@ -460,18 +454,8 @@ def _cmd_info(args) -> int:
     return 0
 
 
-_SWEEPS = {
-    "dense": sweep_dense,
-    "split": sweep_split,
-    "trifree": sweep_trifree,
-    "packing": sweep_packing,
-    "factor": sweep_factor,
-    "bipartition": sweep_bipartition,
-}
-
-
 def _cmd_sweep(args) -> int:
-    run = _SWEEPS[args.universe]
+    run = UNIVERSES[args.universe]
     # a universe without a seeded part ignores --cap, one without an
     # exhaustive part ignores --n; unset --cap keeps the universe's default
     given = {"workers": _workers(), "max_n": args.n, "seeded": args.cap}
@@ -534,7 +518,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run an oracle cross-check universe")
     what = p.add_mutually_exclusive_group(required=True)
-    for name in _SWEEPS:
+    for name in UNIVERSES:
         what.add_argument(f"--{name}", dest="universe", action="store_const", const=name)
     p.add_argument("--n", type=int, default=6, help="exhaustive universe size cap")
     p.add_argument("--cap", type=int, default=None, help="seeded sample size")

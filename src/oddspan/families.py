@@ -222,10 +222,10 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
     raise BadWitness(f"unknown reason kind {r.kind!r}")
 
 
-def _lowlink_dfs(g: Graph) -> tuple[list[int], list[int], list[int], list[int]] | None:
-    """One iterative DFS from vertex 0: parent, discovery time, lowlink, subtree size.
+def _lowlink_dfs(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """One iterative DFS from vertex 0 of a connected graph: parent,
+    discovery time, lowlink, subtree size.
 
-    None when some vertex is unreached, that is, when g is disconnected.
     The tree edge (parent[c], c) is a bridge iff low[c] > disc[parent[c]]
     (Tarjan 1974), and removing it leaves size[c] vertices on c's side.
     An explicit stack keeps long paths clear of the recursion limit.
@@ -256,8 +256,6 @@ def _lowlink_dfs(g: Graph) -> tuple[list[int], list[int], list[int], list[int]] 
                 size[p] += size[v]
                 if low[v] < low[p]:
                     low[p] = low[v]
-    if t < n:
-        return None
     return parent, disc, low, size
 
 
@@ -266,20 +264,24 @@ def find_nonexistence(g: Graph) -> NonexistenceReason | None:
 
     Bipartite with both classes even wins first; otherwise the least
     bridge (canonical edge order) with two even sides.  Absence proves
-    nothing.  One lowlink DFS finds connectivity and every bridge in
-    O(n + m); ``check_nonexistence`` re-checks a bridge the slow way.
+    nothing.  Connectivity is tested once, so ``decide`` needs no test
+    of its own: Disconnected is raised before OddOrder.  At even order
+    the BFS inside ``bipartition`` is that test, and one lowlink DFS
+    then finds every bridge in O(n + m); ``check_nonexistence``
+    re-checks a bridge the slow way.
     """
     if g.n == 0:
         raise EmptyGraph("nonexistence search expects a nonempty graph")
-    dfs = _lowlink_dfs(g)
-    if dfs is None:
-        raise Disconnected("nonexistence search expects a connected graph")
     if g.n % 2:
+        # only connectivity matters here, and a plain BFS is cheaper
+        # than building the bipartition
+        if not is_connected(g):
+            raise Disconnected("nonexistence search expects a connected graph")
         raise OddOrder(f"order {g.n} is odd; no odd graph of odd order exists")
     bp = bipartition(g)
     if bp is not None and len(bp.left) % 2 == 0 and len(bp.right) % 2 == 0:
         return NonexistenceReason(BIPARTITE_EVEN_PARTS, bp)
-    parent, disc, low, size = dfs
+    parent, disc, low, size = _lowlink_dfs(g)
     # n is even, so both sides of a bridge are even iff c's side is
     bridges = [
         edge(parent[c], c)

@@ -29,6 +29,7 @@ __all__ = [
     "symmetric_difference",
     "edge_connectivity",
     "edge_connectivity_at_least",
+    "bfs_distances",
     "diameter",
     "is_triangle_free",
     "find_root",
@@ -177,14 +178,15 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def _two_color(adj: list[list[int]] | tuple[frozenset[int], ...], n: int) -> list[int] | None:
-    """BFS 2-coloring from vertex 0; None on an odd cycle.
+def _two_color(adj: list[list[int]] | tuple[frozenset[int], ...], n: int) -> tuple[list[int], bool]:
+    """BFS 2-coloring from vertex 0, and whether no edge joins two equal colors.
 
-    Assumes the structure is connected; unreached vertices would keep
-    color -1 and the callers guard against that.
+    The search covers vertex 0's whole component, so vertices left at
+    color -1 are exactly the unreached ones.
     """
     color = [-1] * n
     color[0] = 0
+    proper = True
     queue = deque([0])
     while queue:
         u = queue.popleft()
@@ -193,16 +195,21 @@ def _two_color(adj: list[list[int]] | tuple[frozenset[int], ...], n: int) -> lis
                 color[v] = 1 - color[u]
                 queue.append(v)
             elif color[v] == color[u]:
-                return None
-    return color
+                proper = False
+    return color, proper
 
 
 def bipartition(g: Graph) -> Bipartition | None:
-    """The 2-coloring classes of a connected graph, or None on an odd cycle."""
-    if not is_connected(g):
+    """The 2-coloring classes of a connected graph, or None on an odd cycle.
+
+    One BFS decides connectivity and the coloring together.
+    """
+    if g.n == 0:
+        raise EmptyGraph("connectivity of the empty graph is undefined here")
+    color, proper = _two_color(g.adj, g.n)
+    if -1 in color:
         raise Disconnected("bipartition needs a connected graph")
-    color = _two_color(g.adj, g.n)
-    if color is None:
+    if not proper:
         return None
     left = frozenset(v for v in range(g.n) if color[v] == 0)
     right = frozenset(v for v in range(g.n) if color[v] == 1)
@@ -213,8 +220,8 @@ def tree_bipartition(t: EdgeSet, n: int) -> Bipartition:
     """The unique 2-coloring of a spanning tree, vertex 0 on the left."""
     if not is_spanning_tree(t, n):
         raise NotATree(f"edge set of size {len(t)} is not a spanning tree on {n} vertices")
-    color = _two_color(_adjacency(t, n), n)
-    assert color is not None, "trees have no cycles"
+    color, proper = _two_color(_adjacency(t, n), n)
+    assert proper, "trees have no cycles"
     left = frozenset(v for v in range(n) if color[v] == 0)
     right = frozenset(v for v in range(n) if color[v] == 1)
     return Bipartition(left, right)
@@ -321,22 +328,24 @@ def edge_connectivity_at_least(g: Graph, k: int) -> bool:
     return all(_max_flow_unit(g, 0, t, k) == k for t in range(1, g.n))
 
 
+def bfs_distances(g: Graph, s: int) -> list[int]:
+    """Hop distance from s to every vertex; -1 where unreachable."""
+    dist = [-1] * g.n
+    dist[s] = 0
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v in g.adj[u]:
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def diameter(g: Graph) -> int:
     if not is_connected(g):
         raise Disconnected("diameter of a disconnected graph is infinite")
-    best = 0
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        best = max(best, max(dist))
-    return best
+    return max(max(bfs_distances(g, s)) for s in range(g.n))
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -13,7 +13,6 @@ any even-order graph of diameter at least four.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
 from .graph_core import (
     EdgeSet,
     Graph,
+    bfs_distances,
     degrees,
     diameter,
     edge,
@@ -184,19 +184,6 @@ def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
     return frozenset(edges)
 
 
-def _bfs_distances(g: Graph, s: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[s] = 0
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for w in g.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
-
-
 def double_star_in_complement(g: Graph) -> EdgeSet:
     """Spanning double star in the complement of g.
 
@@ -217,7 +204,7 @@ def double_star_in_complement(g: Graph) -> EdgeSet:
         raise DiameterTooSmall(diam, 4)
     v0 = v4 = -1
     for v in range(g.n):
-        dist = _bfs_distances(g, v)
+        dist = bfs_distances(g, v)
         far = [w for w in range(g.n) if dist[w] == 4]
         if far:
             v0, v4 = v, min(far)

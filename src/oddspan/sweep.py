@@ -48,6 +48,8 @@ from .tree_packing import exhaustive_pair_search, two_edge_disjoint_spanning_tre
 from .trifree import trifree_complement_tree
 
 Case = tuple[int, tuple[Edge, ...]]
+# what a checker found on one case: (disagreement, verdict, coverage shape)
+Outcome = tuple[str | None, str | None, str | None]
 
 
 @dataclass
@@ -173,70 +175,66 @@ def _case(g: Graph) -> Case:
     return (g.n, tuple(sorted(g.edge_set())))
 
 
-def _run(worker, cases: list, workers: int) -> list:
-    if workers <= 1 or len(cases) < 64:
-        return [worker(c) for c in cases]
-    with multiprocessing.Pool(workers) as pool:
-        return list(pool.imap(worker, cases, chunksize=64))
-
-
-def _seeded(make, want: int, limit: int = 500000) -> list:
-    """Deterministic stream: make(i) returns an item or None to skip."""
+def _seeded(draw, keep, want: int) -> list[Case]:
+    """Deterministic stream: the first ``want`` graphs ``draw(i)`` that ``keep`` accepts."""
     out = []
     i = 0
     while len(out) < want:
-        assert i < limit, "seeded universe failed to fill; filters too tight"
-        item = make(i)
+        assert i < 500000, "seeded universe failed to fill; filters too tight"
+        g = draw(i)
         i += 1
-        if item is not None:
-            out.append(item)
+        if keep(g):
+            out.append(_case(g))
     return out
 
 
-def _dense_case(case: Case) -> str | None:
+def _report(title: str, checker, cases: list[Case], workers: int) -> SweepReport:
+    """Run ``checker`` on every case and tally its outcomes; a None
+    verdict or shape leaves the case out of that count."""
+    if workers <= 1 or len(cases) < 64:
+        results = [checker(c) for c in cases]
+    else:
+        with multiprocessing.Pool(workers) as pool:
+            results = list(pool.imap(checker, cases, chunksize=64))
+    rep = SweepReport(universe=title)
+    for failure, verdict, shape in results:
+        rep.checked += 1
+        if failure:
+            rep.disagreements.append(failure)
+        if verdict:
+            rep.verdicts[verdict] = rep.verdicts.get(verdict, 0) + 1
+        if shape:
+            rep.coverage[shape] = rep.coverage.get(shape, 0) + 1
+    return rep
+
+
+def _dense_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
     try:
         tree = odd_spanning_tree_dense(g)
     except GreedyStalled:
-        return f"greedy stalled on n={n} edges={edges}"
+        return (f"greedy stalled on n={n} edges={edges}", None, None)
     rep = verify_odd_spanning_tree(g, tree)
     if not rep.ok:
-        return f"bad dense tree on n={n} edges={edges}: {rep}"
-    return None
+        return (f"bad dense tree on n={n} edges={edges}: {rep}", None, None)
+    return (None, "tree", None)
+
+
+def _dense_enough(g: Graph) -> bool:
+    return is_connected(g) and g.min_degree() >= g.n // 2 + 1
 
 
 def sweep_dense(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Greedy tree on every dense-enough graph: small-n exhaustive plus
     a seeded slice at n in 8..12."""
-    cases: list[Case] = []
-    for n in (2, 4, 6):
-        if n > max_n:
-            continue
-        bound = n // 2 + 1
-        for g in all_connected_graphs(n):
-            if g.min_degree() >= bound:
-                cases.append(_case(g))
-
-    def make(i: int) -> Case | None:
-        n = (8, 10, 12)[i % 3]
-        g = gen_random(n, 0.85, i)
-        if is_connected(g) and g.min_degree() >= n // 2 + 1:
-            return _case(g)
-        return None
-
-    cases.extend(_seeded(make, seeded))
-    rep = SweepReport(universe=f"dense min-degree graphs, exhaustive n<={max_n} plus {seeded} seeded")
-    for failure in _run(_dense_case, cases, workers):
-        rep.checked += 1
-        if failure:
-            rep.disagreements.append(failure)
-        else:
-            rep.verdicts["tree"] = rep.verdicts.get("tree", 0) + 1
-    return rep
+    cases = [_case(g) for n in (2, 4, 6) if n <= max_n for g in all_graphs(n) if _dense_enough(g)]
+    cases += _seeded(lambda i: gen_random((8, 10, 12)[i % 3], 0.85, i), _dense_enough, seeded)
+    title = f"dense min-degree graphs, exhaustive n<={max_n} plus {seeded} seeded"
+    return _report(title, _dense_case, cases, workers)
 
 
-def _split_case(case: Case) -> tuple[str | None, str]:
+def _split_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
     sp = find_split_partition(g)
@@ -244,58 +242,52 @@ def _split_case(case: Case) -> tuple[str | None, str]:
     if n % 2:
         try:
             split_no_tree_condition(g, sp)
-            return (f"odd order accepted by condition: n={n} edges={edges}", "odd-order")
+            return (f"odd order accepted by condition: n={n} edges={edges}", "odd-order", None)
         except OddOrder:
             pass
         if find_odd_spanning_tree_bruteforce(g) is not None:
-            return (f"odd-order graph has a tree?! n={n} edges={edges}", "odd-order")
-        return (None, "odd-order")
+            return (f"odd-order graph has a tree?! n={n} edges={edges}", "odd-order", None)
+        return (None, "odd-order", None)
     cond = split_no_tree_condition(g, sp)
     oracle_none = find_odd_spanning_tree_bruteforce(g) is None
     if cond != oracle_none:
-        return (f"criterion {cond} vs oracle none={oracle_none} on n={n} edges={edges}", "mismatch")
+        failure = f"criterion {cond} vs oracle none={oracle_none} on n={n} edges={edges}"
+        return (failure, "mismatch", None)
     if cond:
-        return (None, "nonexistent")
+        return (None, "nonexistent", None)
     tree = split_odd_spanning_tree(g, sp)
     rep = verify_odd_spanning_tree(g, tree)
     if not rep.ok:
-        return (f"bad split tree on n={n} edges={edges}: {rep}", "tree")
+        return (f"bad split tree on n={n} edges={edges}: {rep}", "tree", None)
     leafy = all(sum(1 for e in tree if x in e) == 1 for x in sp.x)
     if not leafy:
-        return (f"independent-side vertex is not a leaf on n={n} edges={edges}", "tree")
-    return (None, "tree")
+        return (f"independent-side vertex is not a leaf on n={n} edges={edges}", "tree", None)
+    return (None, "tree", None)
+
+
+def _wide_split(g: Graph) -> bool:
+    sp = find_split_partition(g)
+    return sp is not None and len(sp.y) >= 2
 
 
 def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Criterion-vs-oracle equivalence on split graphs with |Y| >= 2."""
-    cases: list[Case] = []
-    for n in range(2, max_n + 1):
-        for g in all_connected_graphs(n):
-            sp = find_split_partition(g)
-            if sp is not None and len(sp.y) >= 2:
-                cases.append(_case(g))
+    cases = [
+        _case(g) for n in range(2, max_n + 1) for g in all_connected_graphs(n) if _wide_split(g)
+    ]
     grid = [(s, t) for s in range(1, 7) for t in range(2, 6) if (s + t) % 2 == 0]
     ps = (0.3, 0.6, 0.9)
 
-    def make(i: int) -> Case | None:
+    def draw(i: int) -> Graph:
         s, t = grid[i % len(grid)]
-        p = ps[(i // len(grid)) % len(ps)]
-        g, sp = gen_random_split(s, t, p, i)
-        if is_connected(g):
-            return _case(g)
-        return None
+        return gen_random_split(s, t, ps[(i // len(grid)) % len(ps)], i)[0]
 
-    cases.extend(_seeded(make, seeded))
-    rep = SweepReport(universe=f"connected split graphs, exhaustive n<={max_n} plus {seeded} seeded")
-    for failure, tag in _run(_split_case, cases, workers):
-        rep.checked += 1
-        rep.verdicts[tag] = rep.verdicts.get(tag, 0) + 1
-        if failure:
-            rep.disagreements.append(failure)
-    return rep
+    cases += _seeded(draw, is_connected, seeded)
+    title = f"connected split graphs, exhaustive n<={max_n} plus {seeded} seeded"
+    return _report(title, _split_case, cases, workers)
 
 
-def _trifree_case(case: Case) -> tuple[str | None, str]:
+def _trifree_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
     decision = trifree_complement_tree(g)
@@ -306,16 +298,14 @@ def _trifree_case(case: Case) -> tuple[str | None, str]:
         else:
             oracle_exists = find_odd_spanning_tree_bruteforce(gbar) is not None
         if decision.exists != oracle_exists:
-            return (
-                f"decision {decision.exists} vs oracle {oracle_exists} on n={n} edges={edges}",
-                "mismatch",
-            )
+            failure = f"decision {decision.exists} vs oracle {oracle_exists} on n={n} edges={edges}"
+            return (failure, None, None)
     if not decision.exists:
-        return (None, f"excluded:{decision.family}")
+        return (None, "excluded", None)
     rep = verify_odd_spanning_tree(gbar, decision.tree)
     if not rep.ok:
-        return (f"bad tree on n={n} edges={edges}: {rep}", "exists")
-    return (None, f"tree:{decision.tree_id}")
+        return (f"bad tree on n={n} edges={edges}: {rep}", None, None)
+    return (None, "exists", decision.tree_id)
 
 
 def sweep_trifree(seeded: int = 300, workers: int = 1, max_n: int = 6) -> SweepReport:
@@ -325,79 +315,52 @@ def sweep_trifree(seeded: int = 300, workers: int = 1, max_n: int = 6) -> SweepR
     max_n, the crafted per-branch instances, and seeded triangle-free
     samples at n = 8.
     """
-    cases: list[Case] = []
-    for n in (2, 4, 6):
-        if n > max_n:
-            continue
-        for g in all_graphs(n):
-            if is_triangle_free(g):
-                cases.append(_case(g))
-    for _, g, _ in crafted_trifree_instances():
-        cases.append(_case(g))
-
-    def make(i: int) -> Case | None:
-        g = gen_random(8, 0.3, i)
-        return _case(g) if is_triangle_free(g) else None
-
-    cases.extend(_seeded(make, seeded))
-    rep = SweepReport(universe=f"triangle-free graphs, exhaustive even n<={max_n} plus crafted plus {seeded} seeded")
-    for failure, tag in _run(_trifree_case, cases, workers):
-        rep.checked += 1
-        if failure:
-            rep.disagreements.append(failure)
-        elif tag.startswith("tree:"):
-            tid = tag.split(":", 1)[1]
-            rep.verdicts["exists"] = rep.verdicts.get("exists", 0) + 1
-            rep.coverage[tid] = rep.coverage.get(tid, 0) + 1
-        else:
-            rep.verdicts["excluded"] = rep.verdicts.get("excluded", 0) + 1
-    return rep
+    cases = [
+        _case(g) for n in (2, 4, 6) if n <= max_n for g in all_graphs(n) if is_triangle_free(g)
+    ]
+    cases += [_case(g) for _, g, _ in crafted_trifree_instances()]
+    cases += _seeded(lambda i: gen_random(8, 0.3, i), is_triangle_free, seeded)
+    title = f"triangle-free graphs, exhaustive even n<={max_n} plus crafted plus {seeded} seeded"
+    return _report(title, _trifree_case, cases, workers)
 
 
-def _packing_case(case: Case) -> tuple[str | None, str]:
+def _packing_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
     outcome = two_edge_disjoint_spanning_trees(g)
     if not verify_packing(g, outcome):
-        return (f"packing outcome fails verification on n={n} edges={edges}", "invalid")
+        return (f"packing outcome fails verification on n={n} edges={edges}", "invalid", None)
     if outcome.trees is not None:
-        return (None, "trees")
+        return (None, "trees", None)
     if exhaustive_pair_search(g) is not None:
-        return (
-            f"certificate issued but a disjoint pair exists on n={n} edges={edges}",
-            "certificate",
-        )
+        failure = f"certificate issued but a disjoint pair exists on n={n} edges={edges}"
+        return (failure, "certificate", None)
     if edge_connectivity_at_least(g, 4):
-        return (f"4-edge-connected graph got a certificate: n={n} edges={edges}", "certificate")
-    return (None, "certificate")
+        failure = f"4-edge-connected graph got a certificate: n={n} edges={edges}"
+        return (failure, "certificate", None)
+    return (None, "certificate", None)
 
 
 def sweep_packing(workers: int = 1, max_n: int = 6) -> SweepReport:
     """Tree packing vs exhaustive pair search on all connected graphs."""
     cases = [_case(g) for n in range(2, max_n + 1) for g in all_connected_graphs(n)]
-    rep = SweepReport(universe=f"connected graphs n<={max_n}")
-    for failure, tag in _run(_packing_case, cases, workers):
-        rep.checked += 1
-        rep.verdicts[tag] = rep.verdicts.get(tag, 0) + 1
-        if failure:
-            rep.disagreements.append(failure)
-    return rep
+    return _report(f"connected graphs n<={max_n}", _packing_case, cases, workers)
 
 
-def _factor_case(case: Case) -> str | None:
+def _factor_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
     try:
         trace = connected_odd_factor(g)
     except NoTreePacking:
-        return f"no tree packing on 4-edge-connected n={n} edges={edges}"
+        return (f"no tree packing on 4-edge-connected n={n} edges={edges}", None, None)
     rep = verify_connected_odd_factor(g, trace.result)
     if not rep.ok:
-        return f"bad factor on n={n} edges={edges}: {rep}"
+        return (f"bad factor on n={n} edges={edges}: {rep}", None, None)
     if g.m <= ODD_FACTOR_EDGE_CAP:
         if find_connected_odd_factor_bruteforce(g) is None:
-            return f"oracle denies any factor on n={n} edges={edges}"
-    return None
+            return (f"oracle denies any factor on n={n} edges={edges}", None, None)
+    return (None, "factor", None)
 
 
 def sweep_factor(seeded: int = 100, workers: int = 1) -> SweepReport:
@@ -408,30 +371,19 @@ def sweep_factor(seeded: int = 100, workers: int = 1) -> SweepReport:
         gen_complete_bipartite(4, 4),
         circulant(8, (1, 2)),
     ]
-    cases = [_case(g) for g in named]
     grid = (6, 8, 10, 12)
     ps = (0.7, 0.85)
 
-    def make(i: int) -> Case | None:
-        n = grid[i % len(grid)]
-        p = ps[(i // len(grid)) % len(ps)]
-        g = gen_random(n, p, i)
-        if edge_connectivity_at_least(g, 4):
-            return _case(g)
-        return None
+    def draw(i: int) -> Graph:
+        return gen_random(grid[i % len(grid)], ps[(i // len(grid)) % len(ps)], i)
 
-    cases.extend(_seeded(make, seeded))
-    rep = SweepReport(universe=f"named 4-edge-connected graphs plus {seeded} seeded")
-    for failure in _run(_factor_case, cases, workers):
-        rep.checked += 1
-        if failure:
-            rep.disagreements.append(failure)
-        else:
-            rep.verdicts["factor"] = rep.verdicts.get("factor", 0) + 1
-    return rep
+    cases = [_case(g) for g in named]
+    cases += _seeded(draw, lambda g: edge_connectivity_at_least(g, 4), seeded)
+    title = f"named 4-edge-connected graphs plus {seeded} seeded"
+    return _report(title, _factor_case, cases, workers)
 
 
-def _bipartition_case(case: Case) -> tuple[str | None, str]:
+def _bipartition_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
     bp = bipartition(g)
@@ -446,7 +398,7 @@ def _bipartition_case(case: Case) -> tuple[str | None, str]:
             return None
 
         enumerate_spanning_trees(g, check)
-        return (bad[0] if bad else None, "bipartite")
+        return (bad[0] if bad else None, "bipartite", None)
     seen: set[frozenset[frozenset[int]]] = set()
 
     def collect(t):
@@ -455,8 +407,13 @@ def _bipartition_case(case: Case) -> tuple[str | None, str]:
 
     enumerate_spanning_trees(g, collect)
     if len(seen) < 2:
-        return (f"non-bipartite graph with a forced partition: n={n} edges={edges}", "non-bipartite")
-    return (None, "non-bipartite")
+        failure = f"non-bipartite graph with a forced partition: n={n} edges={edges}"
+        return (failure, "non-bipartite", None)
+    return (None, "non-bipartite", None)
+
+
+def _non_bipartite(g: Graph) -> bool:
+    return is_connected(g) and bipartition(g) is None
 
 
 def sweep_bipartition(seeded: int = 200, workers: int = 1, max_n: int = 6) -> SweepReport:
@@ -464,18 +421,17 @@ def sweep_bipartition(seeded: int = 200, workers: int = 1, max_n: int = 6) -> Sw
     non-bipartite graphs always exhibit two differing tree partitions."""
     cases = [_case(g) for n in range(2, max_n + 1) for g in all_connected_graphs(n)]
     ps = (0.3, 0.5, 0.7)
+    cases += _seeded(lambda i: gen_random(7, ps[i % len(ps)], i), _non_bipartite, seeded)
+    title = f"connected graphs n<={max_n} plus {seeded} seeded non-bipartite n=7"
+    return _report(title, _bipartition_case, cases, workers)
 
-    def make(i: int) -> Case | None:
-        g = gen_random(7, ps[i % len(ps)], i)
-        if is_connected(g) and bipartition(g) is None:
-            return _case(g)
-        return None
 
-    cases.extend(_seeded(make, seeded))
-    rep = SweepReport(universe=f"connected graphs n<={max_n} plus {seeded} seeded non-bipartite n=7")
-    for failure, tag in _run(_bipartition_case, cases, workers):
-        rep.checked += 1
-        rep.verdicts[tag] = rep.verdicts.get(tag, 0) + 1
-        if failure:
-            rep.disagreements.append(failure)
-    return rep
+# name -> sweep; the ``oddspan sweep`` flags, in this order
+UNIVERSES = {
+    "dense": sweep_dense,
+    "split": sweep_split,
+    "trifree": sweep_trifree,
+    "packing": sweep_packing,
+    "factor": sweep_factor,
+    "bipartition": sweep_bipartition,
+}

@@ -62,7 +62,7 @@ def _forest_path(forest: dict[int, set[int]], u: int, v: int) -> list[Edge]:
         x = queue.popleft()
         if x == v:
             break
-        for w in sorted(forest[x]):
+        for w in forest[x]:
             if w not in prev:
                 prev[w] = x
                 queue.append(w)

@@ -26,7 +26,6 @@ from .graph_core import (
     EdgeSet,
     Graph,
     bipartition,
-    complement,
     edge,
     is_connected,
     is_triangle_free,
@@ -78,21 +77,6 @@ def is_complete_bipartite(g: Graph) -> tuple[int, int] | None:
     if g.m != len(bp.left) * len(bp.right):
         return None
     return (len(bp.left), len(bp.right))
-
-
-def complement_connected(g: Graph) -> bool:
-    """Whether the complement of triangle-free g is connected.
-
-    Cross-checked against the structural criterion: the complement
-    disconnects exactly when g is complete bipartite.
-    """
-    if g.n == 0:
-        raise EmptyGraph("connectivity of the empty complement")
-    if not is_triangle_free(g):
-        raise NotTriangleFree("input must be triangle-free")
-    conn = is_connected(complement(g))
-    assert conn == (is_complete_bipartite(g) is None)
-    return conn
 
 
 def recognize_excluded(g: Graph) -> str | None:

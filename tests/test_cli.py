@@ -9,7 +9,7 @@ import pytest
 
 import oddspan
 from common import cycle, es, joined_cliques
-from oddspan import cli
+from oddspan import cli, graph_core, sweep
 from oddspan.cli import (
     Certificate,
     decide,
@@ -19,7 +19,14 @@ from oddspan.cli import (
     parse_certificate,
     parse_graph,
 )
-from oddspan.errors import DuplicateEdge, OddSpanError, ParseError, SelfLoop
+from oddspan.errors import (
+    DuplicateEdge,
+    EmptyGraph,
+    GreedyStalled,
+    OddSpanError,
+    ParseError,
+    SelfLoop,
+)
 from oddspan.families import SPLIT_CONDITION, NonexistenceReason, check_nonexistence, gen_random
 from oddspan.graph_core import Graph, complement, edge_connectivity
 from oddspan.split import SplitPartition
@@ -286,6 +293,40 @@ def test_info_golden(capsys):
     assert code == 0 and out == golden("info", "bridge-k4-k4")
 
 
+def test_info_on_one_and_zero_vertices(capsys, tmp_path):
+    code, out = run_cli(capsys, "info", stdin="1 0\n")
+    assert code == 0
+    assert out.splitlines()[3:6] == ["connected true", "edge-connectivity 0", "diameter 0"]
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    assert main(["info", str(empty)]) == 65
+    with pytest.raises(EmptyGraph) as info:
+        graph_core.is_connected(Graph(0))
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+
+def test_decide_runs_no_connectivity_test_of_its_own(capsys, monkeypatch):
+    calls = []
+    real = graph_core.is_connected
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    # patch every binding, as ``from .graph_core import is_connected`` copies it
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.startswith("oddspan") and getattr(mod, "is_connected", None) is real:
+            monkeypatch.setattr(mod, "is_connected", counting)
+    _, bridge = run_cli(capsys, "gen", "--family", "bridge-complete", "--s", "4", "--t", "4")
+    for text in (C4, bridge):
+        assert decide(parse_graph(text)).verdict == "NOT_EXISTS"
+    assert calls == []
+    # the split method past the screen does test connectivity, so the
+    # counter is live
+    assert decide(parse_graph(K4)).verdict == "EXISTS" and calls
+
+
 def test_complement_round_trip(capsys):
     _, once = run_cli(capsys, "complement", stdin=C4)
     _, twice = run_cli(capsys, "complement", stdin=once)
@@ -339,11 +380,60 @@ def test_exit_codes_for_usage(capsys):
     assert main(["--help"]) == 0
 
 
-def test_sweep_golden(capsys, monkeypatch):
+# golden name -> sweep flags; the trifree settings reach every coverage line
+SWEEP_GOLDENS = {
+    "split-n4-cap5": "--split --n 4 --cap 5",
+    "dense-n4-cap5": "--dense --n 4 --cap 5",
+    "trifree-n4-cap8": "--trifree --n 4 --cap 8",
+    "packing-n4": "--packing --n 4",
+    "factor-cap2": "--factor --cap 2",
+    "bipartition-n4-cap5": "--bipartition --n 4 --cap 5",
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_GOLDENS))
+def test_sweep_golden(capsys, monkeypatch, case):
     monkeypatch.setenv("ODD_SPAN_THREADS", "1")
-    code, out = run_cli(capsys, "sweep", "--split", "--n", "4", "--cap", "5")
+    code, out = run_cli(capsys, "sweep", *SWEEP_GOLDENS[case].split())
     assert code == 0
-    assert out == golden("sweep", "split-n4-cap5")
+    assert out == golden("sweep", case)
+
+
+def test_sweep_failures_are_reported_and_counted(monkeypatch):
+    # split counts a failing case's verdict; dense does not
+    k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    real_split = sweep.split_odd_spanning_tree
+
+    def broken_split(g, sp):
+        return frozenset() if g == k4 else real_split(g, sp)
+
+    real_dense = sweep.odd_spanning_tree_dense
+
+    def broken_dense(g):
+        if g == k4:
+            raise GreedyStalled("stalled on purpose")
+        return real_dense(g)
+
+    monkeypatch.setattr(sweep, "split_odd_spanning_tree", broken_split)
+    monkeypatch.setattr(sweep, "odd_spanning_tree_dense", broken_dense)
+    k4_edges = "((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))"
+    assert sweep.sweep_split(seeded=0, max_n=4).lines() == [
+        "universe connected split graphs, exhaustive n<=4 plus 0 seeded",
+        "checked 40",
+        "verdict nonexistent 12",
+        "verdict odd-order 4",
+        "verdict tree 24",
+        "disagreements 1",
+        f"bad split tree on n=4 edges={k4_edges}: "
+        "VerifyReport(ok=False, failure='wrong-edge-count', vertex=None)",
+    ]
+    assert sweep.sweep_dense(seeded=2, max_n=4).lines() == [
+        "universe dense min-degree graphs, exhaustive n<=4 plus 2 seeded",
+        "checked 3",
+        "verdict tree 2",
+        "disagreements 1",
+        f"greedy stalled on n=4 edges={k4_edges}",
+    ]
 
 
 def test_sweep_worker_count_does_not_change_output(capsys, monkeypatch):

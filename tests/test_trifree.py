@@ -3,7 +3,7 @@ import pytest
 from common import complete, cycle, es, path
 from oddspan.errors import EmptyGraph, GIsOdd, NotTriangleFree, OddOrder
 from oddspan.families import gen_c5k, gen_complete_bipartite, gen_complete_bipartite_minus_edge
-from oddspan.graph_core import Graph, complement, is_triangle_free
+from oddspan.graph_core import Graph, complement, is_connected, is_triangle_free
 from oddspan.oracle import verify_odd_spanning_tree
 from oddspan.sweep import all_graphs, build_theta, crafted_trifree_instances
 from oddspan.trifree import (
@@ -13,7 +13,6 @@ from oddspan.trifree import (
     K2S2T_MINUS_E,
     TWO_K2,
     build_case_frame,
-    complement_connected,
     is_complete_bipartite,
     recognize_excluded,
     trifree_complement_tree,
@@ -48,14 +47,12 @@ def test_is_complete_bipartite():
     assert is_complete_bipartite(complete(4)) is None
 
 
-def test_complement_connected_examples():
-    assert not complement_connected(gen_complete_bipartite(2, 3))
-    assert complement_connected(cycle(5))
-    assert complement_connected(path(4))
-    with pytest.raises(EmptyGraph):
-        complement_connected(Graph(0))
-    with pytest.raises(NotTriangleFree):
-        complement_connected(complete(3))
+def test_complement_disconnects_iff_complete_bipartite():
+    # an edge inside either side of a complement cut closes a triangle
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            if is_triangle_free(g):
+                assert is_connected(complement(g)) == (is_complete_bipartite(g) is None)
 
 
 def test_recognize_excluded_families():
