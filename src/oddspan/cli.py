@@ -262,7 +262,10 @@ def _dense(g: Graph) -> Certificate:
 def _oracle(g: Graph) -> Certificate:
     if g.n > ODD_TREE_VERTEX_CAP:
         return Certificate(UNKNOWN, "oracle-capped", reason=f"size-cap {ODD_TREE_VERTEX_CAP}")
-    tree = find_odd_spanning_tree_bruteforce(g)
+    try:
+        tree = find_odd_spanning_tree_bruteforce(g)
+    except Disconnected:
+        return _DISCONNECTED
     if tree is None:
         return Certificate(NOT_EXISTS, "oracle-exhaustive", reason="oracle-exhaustive")
     return _exists(g, "oracle-exhaustive", tree)

@@ -9,17 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import trifree
 from .errors import BadWitness, Disconnected, EmptyGraph, OddOrder, ParityArgument
 from .graph_core import (
     Bipartition,
     Graph,
+    bfs_distances,
     bipartition,
     complement,
     edge,
     is_connected,
     is_triangle_free,
 )
-from .split import SplitPartition
+from .split import SplitPartition, split_no_tree_condition, validate_partition
 
 BIPARTITE_EVEN_PARTS = "bipartite-even-parts"
 BRIDGE_EVEN_SIDES = "bridge-even-sides"
@@ -138,27 +140,6 @@ class NonexistenceReason:
     witness: object
 
 
-def _components_without(g: Graph, cut: tuple[int, int]) -> list[frozenset[int]]:
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        comp = [start]
-        while stack:
-            x = stack.pop()
-            for w in g.adj[x]:
-                if edge(x, w) == cut or seen[w]:
-                    continue
-                seen[w] = True
-                comp.append(w)
-                stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
     """Re-verify that r genuinely proves g has no odd spanning tree.
 
@@ -183,8 +164,13 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
             raise BadWitness("witness is not an edge of the graph")
         if not is_connected(g):
             return False
-        comps = _components_without(g, edge(*w))
-        return len(comps) == 2 and all(len(c) % 2 == 0 for c in comps)
+        # g is connected, so w is a bridge iff a walk from u that avoids
+        # w misses a vertex; both sides are then even iff u's side and n are
+        u, v = w
+        adj = list(g.adj)
+        adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
+        reached = g.n - bfs_distances(adj, u).count(-1)
+        return reached < g.n and reached % 2 == 0 and g.n % 2 == 0
     if r.kind == DISCONNECTED:
         w = r.witness
         if not isinstance(w, frozenset) or not w or len(w) >= g.n:
@@ -193,8 +179,6 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
             raise BadWitness("witness vertex out of range")
         return all((u in w) == (v in w) for u, v in g.edge_set())
     if r.kind == SPLIT_CONDITION:
-        from .split import split_no_tree_condition, validate_partition
-
         w = r.witness
         if not isinstance(w, SplitPartition):
             raise BadWitness("expected a SplitPartition witness")
@@ -203,17 +187,8 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
             return False
         return split_no_tree_condition(g, w)
     if r.kind == EXCLUDED_FAMILY:
-        from . import trifree
-
         w = r.witness
-        families = {
-            trifree.COMPLETE_BIPARTITE,
-            trifree.TWO_K2,
-            trifree.C5_OF_2,
-            trifree.K2S2T,
-            trifree.K2S2T_MINUS_E,
-        }
-        if w not in families:
+        if w not in trifree.EXCLUDED_FAMILIES:
             raise BadWitness(f"unknown excluded family {w!r}")
         h = complement(g)
         if not is_triangle_free(h):

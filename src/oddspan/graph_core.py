@@ -26,7 +26,7 @@ __all__ = [
     "bipartition",
     "tree_bipartition",
     "tree_path",
-    "symmetric_difference",
+    "forest_path",
     "edge_connectivity",
     "edge_connectivity_at_least",
     "bfs_distances",
@@ -128,25 +128,19 @@ def _adjacency(edges: Iterable[Edge], n: int) -> list[list[int]]:
     return adj
 
 
+def _tree_distances(t: EdgeSet, n: int) -> list[int] | None:
+    """BFS depths from vertex 0 in t, or None if t is not a spanning tree on 0..n-1."""
+    if n < 1 or len(t) != n - 1:
+        return None
+    if any(not (0 <= u < n and 0 <= v < n) for u, v in t):
+        return None
+    dist = bfs_distances(_adjacency(t, n), 0)
+    return None if -1 in dist else dist
+
+
 def is_spanning_tree(t: EdgeSet, n: int) -> bool:
     """True iff t is a spanning tree on vertices 0..n-1."""
-    if n < 1 or len(t) != n - 1:
-        return False
-    if any(not (0 <= u < n and 0 <= v < n) for u, v in t):
-        return False
-    adj = _adjacency(t, n)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
+    return _tree_distances(t, n) is not None
 
 
 def complement(g: Graph) -> Graph:
@@ -164,67 +158,66 @@ def complement(g: Graph) -> Graph:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         raise EmptyGraph("connectivity of the empty graph is undefined here")
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    return -1 not in bfs_distances(g.adj, 0)
 
 
-def _two_color(adj: list[list[int]] | tuple[frozenset[int], ...], n: int) -> tuple[list[int], bool]:
-    """BFS 2-coloring from vertex 0, and whether no edge joins two equal colors.
-
-    The search covers vertex 0's whole component, so vertices left at
-    color -1 are exactly the unreached ones.
-    """
-    color = [-1] * n
-    color[0] = 0
-    proper = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                proper = False
-    return color, proper
+def _depth_classes(dist: list[int]) -> Bipartition:
+    """Even and odd BFS depths from vertex 0, so vertex 0 is on the left."""
+    left = frozenset(v for v, d in enumerate(dist) if d % 2 == 0)
+    return Bipartition(left, frozenset(range(len(dist))) - left)
 
 
 def bipartition(g: Graph) -> Bipartition | None:
     """The 2-coloring classes of a connected graph, or None on an odd cycle.
 
-    One BFS decides connectivity and the coloring together.
+    One BFS decides connectivity and the coloring together: BFS depths
+    differ by at most one along an edge, and an edge between two equal
+    depths closes an odd cycle.
     """
     if g.n == 0:
         raise EmptyGraph("connectivity of the empty graph is undefined here")
-    color, proper = _two_color(g.adj, g.n)
-    if -1 in color:
+    dist = bfs_distances(g.adj, 0)
+    if -1 in dist:
         raise Disconnected("bipartition needs a connected graph")
-    if not proper:
-        return None
-    left = frozenset(v for v in range(g.n) if color[v] == 0)
-    right = frozenset(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(left, right)
+    for u, d in enumerate(dist):
+        for v in g.adj[u]:
+            if dist[v] == d:
+                return None
+    return _depth_classes(dist)
 
 
 def tree_bipartition(t: EdgeSet, n: int) -> Bipartition:
     """The unique 2-coloring of a spanning tree, vertex 0 on the left."""
-    if not is_spanning_tree(t, n):
+    dist = _tree_distances(t, n)
+    if dist is None:
         raise NotATree(f"edge set of size {len(t)} is not a spanning tree on {n} vertices")
-    color, proper = _two_color(_adjacency(t, n), n)
-    assert proper, "trees have no cycles"
-    left = frozenset(v for v in range(n) if color[v] == 0)
-    right = frozenset(v for v in range(n) if color[v] == 1)
-    return Bipartition(left, right)
+    return _depth_classes(dist)
+
+
+def forest_path(adj, u: int, v: int) -> list[Edge]:
+    """Edges of the unique forest path from u to v, in order (must be connected).
+
+    ``adj`` is indexed by vertex, as for ``bfs_distances``; the search
+    stops as soon as it reaches v.
+    """
+    prev: dict[int, int] = {u: u}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if x == v:
+            break
+        for w in adj[x]:
+            if w not in prev:
+                prev[w] = x
+                queue.append(w)
+    path = []
+    x = v
+    while x != u:
+        p = prev[x]
+        path.append((p, x) if p < x else (x, p))
+        x = p
+    path.reverse()
+    return path
 
 
 def tree_path(t: EdgeSet, n: int, u: int, v: int) -> EdgeSet:
@@ -240,30 +233,7 @@ def tree_path(t: EdgeSet, n: int, u: int, v: int) -> EdgeSet:
     """
     if not is_spanning_tree(t, n):
         raise NotATree(f"edge set of size {len(t)} is not a spanning tree on {n} vertices")
-    if u == v:
-        return frozenset()
-    adj = _adjacency(t, n)
-    parent = [-1] * n
-    parent[u] = u
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        if w == v:
-            break
-        for x in adj[w]:
-            if parent[x] == -1:
-                parent[x] = w
-                queue.append(x)
-    path: set[Edge] = set()
-    w = v
-    while w != u:
-        path.add(edge(w, parent[w]))
-        w = parent[w]
-    return frozenset(path)
-
-
-def symmetric_difference(a: EdgeSet, b: EdgeSet) -> EdgeSet:
-    return frozenset(a ^ b)
+    return frozenset(forest_path(_adjacency(t, n), u, v))
 
 
 def _max_flow_unit(g: Graph, s: int, t: int, bound: int | None = None) -> int:
@@ -328,24 +298,28 @@ def edge_connectivity_at_least(g: Graph, k: int) -> bool:
     return all(_max_flow_unit(g, 0, t, k) == k for t in range(1, g.n))
 
 
-def bfs_distances(g: Graph, s: int) -> list[int]:
-    """Hop distance from s to every vertex; -1 where unreachable."""
-    dist = [-1] * g.n
+def bfs_distances(adj, s: int) -> list[int]:
+    """Hop distance from s to every vertex; -1 where unreachable.
+
+    ``adj`` is any adjacency indexed by vertex 0..len(adj)-1: ``g.adj``,
+    a list of lists, or a dict of sets.
+    """
+    dist = [-1] * len(adj)
     dist[s] = 0
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if dist[v] == -1:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    order = [s]  # the FIFO queue: the loop reads what it appends
+    for u in order:
+        d = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = d
+                order.append(v)
     return dist
 
 
 def diameter(g: Graph) -> int:
     if not is_connected(g):
         raise Disconnected("diameter of a disconnected graph is infinite")
-    return max(max(bfs_distances(g, s)) for s in range(g.n))
+    return max(max(bfs_distances(g.adj, s)) for s in range(g.n))
 
 
 def is_triangle_free(g: Graph) -> bool:

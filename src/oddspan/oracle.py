@@ -67,19 +67,7 @@ def verify_connected_odd_factor(g: Graph, f: EdgeSet) -> VerifyReport:
     for v, d in enumerate(deg):
         if d == 0:
             return VerifyReport(False, NOT_SPANNING, v)
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in f:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if not all(seen):
+    if not is_connected(Graph(g.n, f)):
         return VerifyReport(False, NOT_CONNECTED)
     for v, d in enumerate(deg):
         if d % 2 == 0:

@@ -204,7 +204,7 @@ def double_star_in_complement(g: Graph) -> EdgeSet:
         raise DiameterTooSmall(diam, 4)
     v0 = v4 = -1
     for v in range(g.n):
-        dist = bfs_distances(g, v)
+        dist = bfs_distances(g.adj, v)
         far = [w for w in range(g.n) if dist[w] == 4]
         if far:
             v0, v4 = v, min(far)

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .dense_tree import odd_spanning_tree_dense
-from .errors import GreedyStalled, NoTreePacking, OddOrder
+from .errors import Disconnected, GreedyStalled, NoTreePacking, OddOrder
 from .families import (
     gen_complete_bipartite,
     gen_complete_bipartite_minus_edge,
@@ -413,7 +413,10 @@ def _bipartition_case(case: Case) -> Outcome:
 
 
 def _non_bipartite(g: Graph) -> bool:
-    return is_connected(g) and bipartition(g) is None
+    try:
+        return bipartition(g) is None
+    except Disconnected:
+        return False
 
 
 def sweep_bipartition(seeded: int = 200, workers: int = 1, max_n: int = 6) -> SweepReport:

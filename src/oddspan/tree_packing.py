@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import Disconnected, EmptyGraph
-from .graph_core import Edge, EdgeSet, Graph, find_root, is_connected, is_spanning_tree
+from .graph_core import Edge, EdgeSet, Graph, find_root, forest_path, is_connected, is_spanning_tree
 
 _ROOT = ("root", -1)
 
@@ -54,28 +54,6 @@ def _forest_components(forest: dict[int, set[int]], n: int) -> list[int]:
     return comp
 
 
-def _forest_path(forest: dict[int, set[int]], u: int, v: int) -> list[Edge]:
-    """Edges of the unique forest path from u to v (must be connected)."""
-    prev: dict[int, int] = {u: u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for w in forest[x]:
-            if w not in prev:
-                prev[w] = x
-                queue.append(w)
-    path = []
-    x = v
-    while x != u:
-        p = prev[x]
-        path.append((p, x) if p < x else (x, p))
-        x = p
-    path.reverse()
-    return path
-
-
 def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
     """Pack two edge-disjoint spanning trees or certify impossibility.
 
@@ -111,7 +89,7 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
             if comp[i][fu] != comp[i][fv]:
                 chain = (f, i)
                 break
-            for h in _forest_path(forests[i], fu, fv):
+            for h in forest_path(forests[i], fu, fv):
                 if h not in label:
                     label[h] = (f, i)
                     queue.append((h, 1 - i))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    Disconnected,
     EmptyGraph,
     ExhaustedCases,
     GIsOdd,
@@ -27,7 +28,6 @@ from .graph_core import (
     Graph,
     bipartition,
     edge,
-    is_connected,
     is_triangle_free,
 )
 
@@ -36,6 +36,7 @@ TWO_K2 = "two-k2"
 C5_OF_2 = "c5-of-2"
 K2S2T = "k2s2t"
 K2S2T_MINUS_E = "k2s2t-minus-e"
+EXCLUDED_FAMILIES = (COMPLETE_BIPARTITE, TWO_K2, C5_OF_2, K2S2T, K2S2T_MINUS_E)
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,11 @@ def is_complete_bipartite(g: Graph) -> tuple[int, int] | None:
 
     The first size is the part containing vertex 0.
     """
-    if g.n < 2 or not is_connected(g):
+    try:
+        bp = bipartition(g)
+    except (Disconnected, EmptyGraph):
         return None
-    bp = bipartition(g)
-    if bp is None:
-        return None
-    if g.m != len(bp.left) * len(bp.right):
+    if bp is None or g.n < 2 or g.m != len(bp.left) * len(bp.right):
         return None
     return (len(bp.left), len(bp.right))
 
@@ -91,17 +91,17 @@ def recognize_excluded(g: Graph) -> str | None:
         u, w = (v for v in range(6) if g.degree(v) == 3)
         if not g.has_edge(u, w) and len(g.adj[u] & g.adj[w]) == 2:
             return C5_OF_2
-    cb = is_complete_bipartite(g)
-    if cb is not None:
-        a, b = cb
-        return K2S2T if a % 2 == 0 and b % 2 == 0 else COMPLETE_BIPARTITE
-    if is_connected(g):
+    try:
         bp = bipartition(g)
-        if bp is not None:
-            a, b = len(bp.left), len(bp.right)
-            if a % 2 == 0 and b % 2 == 0 and g.m == a * b - 1:
-                return K2S2T_MINUS_E
-    return None
+    except (Disconnected, EmptyGraph):
+        return None
+    if bp is None or n < 2:
+        return None
+    a, b = len(bp.left), len(bp.right)
+    even = a % 2 == 0 and b % 2 == 0
+    if g.m == a * b:
+        return K2S2T if even else COMPLETE_BIPARTITE
+    return K2S2T_MINUS_E if even and g.m == a * b - 1 else None
 
 
 def build_case_frame(g: Graph) -> CaseFrame:

@@ -531,6 +531,19 @@ def test_check_method_matches_construct(in_process, method):
         assert check == construct, (method, sorted(g.edge_set()))
 
 
+def test_check_method_oracle_exits_as_check(in_process):
+    disconnected = 0
+    for g in _graphs_up_to(5):
+        if g.n == 0:
+            continue
+        code, out = in_process(("check", "--method", "oracle"), g)
+        assert code == in_process(("check",), g)[0], sorted(g.edge_set())
+        if not graph_core.is_connected(g):
+            assert out.splitlines()[0] == "NOT_EXISTS disconnected"
+            disconnected += 1
+    assert disconnected > 0
+
+
 def test_check_split_nonexistence_certificates_recheck(in_process):
     # the criterion speaks only about connected graphs, so a disconnected
     # split graph whose parts meet the condition must get another answer

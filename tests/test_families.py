@@ -1,6 +1,7 @@
 import pytest
 
 from common import complete, cycle, es, path
+from oddspan import trifree
 from oddspan.errors import BadWitness, Disconnected, EmptyGraph, OddOrder, ParityArgument
 from oddspan.families import (
     BIPARTITE_EVEN_PARTS,
@@ -9,7 +10,6 @@ from oddspan.families import (
     EXCLUDED_FAMILY,
     SPLIT_CONDITION,
     NonexistenceReason,
-    _components_without,
     _SplitMix,
     check_nonexistence,
     find_nonexistence,
@@ -116,8 +116,15 @@ def test_check_bridge_even_sides():
     g = gen_bridge_join(gen_complete(4), gen_complete(4), 0, 0)
     assert check_nonexistence(g, NonexistenceReason(BRIDGE_EVEN_SIDES, (0, 4)))
     assert check_nonexistence(path(4), NonexistenceReason(BRIDGE_EVEN_SIDES, (1, 2)))
-    # odd sides prove nothing
+    # either orientation of the edge names the same bridge
+    assert check_nonexistence(g, NonexistenceReason(BRIDGE_EVEN_SIDES, (4, 0)))
+    # odd sides prove nothing, nor does an even side at odd order
     assert not check_nonexistence(path(6), NonexistenceReason(BRIDGE_EVEN_SIDES, (2, 3)))
+    assert not check_nonexistence(path(5), NonexistenceReason(BRIDGE_EVEN_SIDES, (1, 2)))
+    # an edge on a cycle is no bridge, and a disconnected graph has no witness
+    assert not check_nonexistence(cycle(4), NonexistenceReason(BRIDGE_EVEN_SIDES, (0, 1)))
+    two_k2 = Graph(4, [(0, 1), (2, 3)])
+    assert not check_nonexistence(two_k2, NonexistenceReason(BRIDGE_EVEN_SIDES, (0, 1)))
     with pytest.raises(BadWitness):
         check_nonexistence(g, NonexistenceReason(BRIDGE_EVEN_SIDES, (0, 7)))
 
@@ -143,7 +150,12 @@ def test_check_split_condition():
 def test_check_excluded_family():
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])  # complement of 2K2
     assert check_nonexistence(g, NonexistenceReason(EXCLUDED_FAMILY, "two-k2"))
-    assert not check_nonexistence(g, NonexistenceReason(EXCLUDED_FAMILY, "c5-of-2"))
+    # every name in the one list is a well-formed witness; only the right one holds
+    held = [
+        family for family in trifree.EXCLUDED_FAMILIES
+        if check_nonexistence(g, NonexistenceReason(EXCLUDED_FAMILY, family))
+    ]
+    assert held == ["two-k2"]
     with pytest.raises(BadWitness):
         check_nonexistence(g, NonexistenceReason(EXCLUDED_FAMILY, "mystery"))
     with pytest.raises(BadWitness):
@@ -181,18 +193,19 @@ def test_find_nonexistence_agrees_with_oracle():
 
 
 def _per_edge_scan(g: Graph) -> NonexistenceReason | None:
-    """Reference witness search: one ``_components_without`` pass per edge.
+    """Reference witness search: re-check every edge as a bridge witness.
 
-    Independent of the lowlink DFS in ``find_nonexistence``, which must
+    ``check_nonexistence`` walks g without the edge once per edge, so this
+    is independent of the lowlink DFS in ``find_nonexistence``, which must
     return the same reason.
     """
     bp = bipartition(g)
     if bp is not None and len(bp.left) % 2 == 0 and len(bp.right) % 2 == 0:
         return NonexistenceReason(BIPARTITE_EVEN_PARTS, bp)
     for e in sorted(g.edge_set()):
-        comps = _components_without(g, e)
-        if len(comps) == 2 and all(len(c) % 2 == 0 for c in comps):
-            return NonexistenceReason(BRIDGE_EVEN_SIDES, e)
+        r = NonexistenceReason(BRIDGE_EVEN_SIDES, e)
+        if check_nonexistence(g, r):
+            return r
     return None
 
 

@@ -1,10 +1,12 @@
 import pytest
 
 from common import complete, cycle, es, joined_cliques, path
+from oddspan import graph_core
 from oddspan.errors import Disconnected, EmptyGraph, SelfLoop
 from oddspan.families import gen_complete_bipartite, gen_random
 from oddspan.graph_core import (
     Graph,
+    bfs_distances,
     bipartition,
     complement,
     diameter,
@@ -12,10 +14,10 @@ from oddspan.graph_core import (
     edge_connectivity,
     edge_connectivity_at_least,
     find_root,
+    forest_path,
     is_connected,
     is_spanning_tree,
     is_triangle_free,
-    symmetric_difference,
     tree_bipartition,
     tree_path,
 )
@@ -92,10 +94,20 @@ def test_bipartition_normalized_vertex_zero_left():
         bipartition(Graph(4, [(0, 1), (2, 3)]))
 
 
-def test_tree_bipartition_path():
+def test_tree_bipartition_path(monkeypatch):
+    # one BFS both checks the tree and colours it
+    calls = []
+    real = graph_core.bfs_distances
+
+    def counting(adj, s):
+        calls.append(s)
+        return real(adj, s)
+
+    monkeypatch.setattr(graph_core, "bfs_distances", counting)
     bp = tree_bipartition(es((0, 1), (1, 2), (2, 3)), 4)
     assert bp.left == frozenset({0, 2})
     assert bp.right == frozenset({1, 3})
+    assert calls == [0]
 
 
 def test_bipartite_graph_trees_share_bipartition():
@@ -137,10 +149,39 @@ def test_tree_path_endpoint_degrees():
             assert all(d == 2 for w, d in deg.items() if w not in (u, v))
 
 
-def test_symmetric_difference():
-    a = es((0, 1), (1, 2))
-    b = es((1, 2), (2, 3))
-    assert symmetric_difference(a, b) == es((0, 1), (2, 3))
+def _adjacency_shapes(n, edges):
+    """The same graph as a tuple of frozensets, a list of lists and a dict of sets."""
+    lists = [[] for _ in range(n)]
+    for u, v in edges:
+        lists[u].append(v)
+        lists[v].append(u)
+    return (
+        Graph(n, edges).adj,
+        lists,
+        {v: set(nbrs) for v, nbrs in enumerate(lists)},
+    )
+
+
+def test_bfs_distances_and_forest_path_on_every_adjacency_shape():
+    # a two-component forest: the tree 0-1-2-3 with 2-4 hung on it, and 5-6
+    forest = [(0, 1), (1, 2), (2, 3), (2, 4), (5, 6)]
+    for adj in _adjacency_shapes(7, forest):
+        assert bfs_distances(adj, 0) == [0, 1, 2, 3, 3, -1, -1]
+        assert bfs_distances(adj, 6) == [-1, -1, -1, -1, -1, 1, 0]
+        assert forest_path(adj, 3, 4) == [(2, 3), (2, 4)]
+        assert forest_path(adj, 0, 3) == [(0, 1), (1, 2), (2, 3)]
+        assert forest_path(adj, 4, 0) == [(2, 4), (1, 2), (0, 1)]
+        assert forest_path(adj, 6, 5) == [(5, 6)]
+        assert forest_path(adj, 1, 1) == []
+    for adj in _adjacency_shapes(5, cycle(5).edge_set()):
+        assert bfs_distances(adj, 0) == [0, 1, 2, 2, 1]
+
+
+def test_star_import_binds_every_public_name():
+    names = {}
+    exec("from oddspan.graph_core import *", names)
+    assert set(graph_core.__all__) <= set(names)
+    assert "forest_path" in names and "symmetric_difference" not in names
 
 
 def test_edge_connectivity_named():

@@ -4,7 +4,14 @@ from collections import deque
 from common import complete, cycle, path
 from oddspan import tree_packing
 from oddspan.families import gen_complete_bipartite, gen_random
-from oddspan.graph_core import Graph, edge_connectivity, find_root, is_connected, is_spanning_tree
+from oddspan.graph_core import (
+    Graph,
+    edge_connectivity,
+    find_root,
+    forest_path,
+    is_connected,
+    is_spanning_tree,
+)
 from oddspan.oracle import enumerate_spanning_trees
 from oddspan.sweep import all_connected_graphs, circulant
 from oddspan.tree_packing import (
@@ -117,7 +124,7 @@ def _offer_every_edge(g):
             if comp[i][f[0]] != comp[i][f[1]]:
                 chain = (f, i)
                 break
-            for h in tree_packing._forest_path(forests[i], f[0], f[1]):
+            for h in forest_path(forests[i], f[0], f[1]):
                 if h not in label:
                     label[h] = (f, i)
                     queue.append((h, 1 - i))

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from common import complete, cycle, es, path
+from oddspan import graph_core, trifree
 from oddspan.errors import EmptyGraph, GIsOdd, NotTriangleFree, OddOrder
 from oddspan.families import gen_c5k, gen_complete_bipartite, gen_complete_bipartite_minus_edge
 from oddspan.graph_core import Graph, complement, is_connected, is_triangle_free
@@ -45,6 +48,30 @@ def test_is_complete_bipartite():
     assert is_complete_bipartite(gen_complete_bipartite(1, 5)) == (1, 5)
     assert is_complete_bipartite(Graph(4, [(0, 1), (2, 3)])) is None
     assert is_complete_bipartite(complete(4)) is None
+    assert is_complete_bipartite(Graph(1)) is None
+    assert is_complete_bipartite(Graph(0)) is None
+
+
+def test_recognition_runs_one_bipartition_and_no_connectivity_test(monkeypatch):
+    calls = []
+    for name in ("is_connected", "bipartition"):
+        real = getattr(graph_core, name)
+
+        def counting(g, name=name, real=real):
+            calls.append(name)
+            return real(g)
+
+        # patch every binding, as ``from .graph_core import ...`` copies it
+        for mod in list(sys.modules.values()):
+            ours = getattr(mod, "__name__", "").startswith("oddspan")
+            if ours and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    k33 = gen_complete_bipartite(3, 3)
+    assert trifree.is_complete_bipartite(k33) == (3, 3)
+    assert calls == ["bipartition"]
+    calls.clear()
+    assert trifree.recognize_excluded(k33) == COMPLETE_BIPARTITE
+    assert calls == ["bipartition"]
 
 
 def test_complement_disconnects_iff_complete_bipartite():
@@ -56,6 +83,9 @@ def test_complement_disconnects_iff_complete_bipartite():
 
 
 def test_recognize_excluded_families():
+    # no family has fewer than two vertices
+    assert recognize_excluded(Graph(0)) is None
+    assert recognize_excluded(Graph(1)) is None
     assert recognize_excluded(Graph(4, [(0, 1), (2, 3)])) == TWO_K2
     assert recognize_excluded(gen_c5k(2)) == C5_OF_2
     assert recognize_excluded(gen_complete_bipartite(2, 2)) == K2S2T
