@@ -26,6 +26,7 @@ __all__ = [
     "bipartition",
     "tree_bipartition",
     "tree_path",
+    "tree_adjacency",
     "forest_path",
     "edge_connectivity",
     "edge_connectivity_at_least",
@@ -50,10 +51,11 @@ class Graph:
     """Simple undirected graph with per-vertex frozen neighbor sets.
 
     Duplicate edges in the input collapse silently (adjacency is a set);
-    self-loops and out-of-range endpoints are rejected.
+    self-loops and out-of-range endpoints are rejected.  The edge set is
+    built on first use and kept; equality and hashing stay on (n, adj).
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -68,10 +70,11 @@ class Graph:
             nbrs[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(s) for s in nbrs)
+        self._edges: EdgeSet | None = None
 
     @property
     def m(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return len(self.edge_set())
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -85,7 +88,9 @@ class Graph:
         return v in self.adj[u]
 
     def edge_set(self) -> EdgeSet:
-        return frozenset((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+        if self._edges is None:
+            self._edges = frozenset((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+        return self._edges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -128,19 +133,28 @@ def _adjacency(edges: Iterable[Edge], n: int) -> list[list[int]]:
     return adj
 
 
-def _tree_distances(t: EdgeSet, n: int) -> list[int] | None:
-    """BFS depths from vertex 0 in t, or None if t is not a spanning tree on 0..n-1."""
+def _tree_walk(t: EdgeSet, n: int) -> tuple[list[list[int]], list[int]] | None:
+    """Adjacency lists of t and BFS depths from vertex 0, or None if t
+    is not a spanning tree on 0..n-1."""
     if n < 1 or len(t) != n - 1:
         return None
     if any(not (0 <= u < n and 0 <= v < n) for u, v in t):
         return None
-    dist = bfs_distances(_adjacency(t, n), 0)
-    return None if -1 in dist else dist
+    adj = _adjacency(t, n)
+    dist = bfs_distances(adj, 0)
+    return None if -1 in dist else (adj, dist)
+
+
+def _checked_tree_walk(t: EdgeSet, n: int) -> tuple[list[list[int]], list[int]]:
+    walk = _tree_walk(t, n)
+    if walk is None:
+        raise NotATree(f"edge set of size {len(t)} is not a spanning tree on {n} vertices")
+    return walk
 
 
 def is_spanning_tree(t: EdgeSet, n: int) -> bool:
     """True iff t is a spanning tree on vertices 0..n-1."""
-    return _tree_distances(t, n) is not None
+    return _tree_walk(t, n) is not None
 
 
 def complement(g: Graph) -> Graph:
@@ -188,10 +202,7 @@ def bipartition(g: Graph) -> Bipartition | None:
 
 def tree_bipartition(t: EdgeSet, n: int) -> Bipartition:
     """The unique 2-coloring of a spanning tree, vertex 0 on the left."""
-    dist = _tree_distances(t, n)
-    if dist is None:
-        raise NotATree(f"edge set of size {len(t)} is not a spanning tree on {n} vertices")
-    return _depth_classes(dist)
+    return _depth_classes(_checked_tree_walk(t, n)[1])
 
 
 def forest_path(adj, u: int, v: int) -> list[Edge]:
@@ -231,9 +242,18 @@ def tree_path(t: EdgeSet, n: int, u: int, v: int) -> EdgeSet:
     Returns:
         The path's edges in canonical form.
     """
-    if not is_spanning_tree(t, n):
-        raise NotATree(f"edge set of size {len(t)} is not a spanning tree on {n} vertices")
-    return frozenset(forest_path(_adjacency(t, n), u, v))
+    return frozenset(forest_path(tree_adjacency(t, n), u, v))
+
+
+def tree_adjacency(t: EdgeSet, n: int) -> list[list[int]]:
+    """Adjacency lists of a spanning tree on 0..n-1, validated on the way.
+
+    Build it once to walk many paths of one tree with ``forest_path``.
+
+    Raises:
+        NotATree: t is not a spanning tree on 0..n-1.
+    """
+    return _checked_tree_walk(t, n)[0]
 
 
 def _max_flow_unit(g: Graph, s: int, t: int, bound: int | None = None) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoTreePacking, NotATree, OddOrder
-from .graph_core import EdgeSet, Graph, degrees, is_spanning_tree, tree_path
+from .graph_core import EdgeSet, Graph, degrees, forest_path, is_spanning_tree, tree_adjacency
 from .tree_packing import two_edge_disjoint_spanning_trees
 
 
@@ -59,7 +59,8 @@ def connected_odd_factor(g: Graph) -> OddFactorTrace:
     assert outcome.trees is not None
     t1, t2 = outcome.trees
     pairs = tuple(pair_even_vertices(t1, g.n))
-    paths = tuple(tree_path(t2, g.n, x, y) for x, y in pairs)
+    adj2 = tree_adjacency(t2, g.n)  # validated once for every pair's path
+    paths = tuple(frozenset(forest_path(adj2, x, y)) for x, y in pairs)
     result = t1
     for p in paths:
         result = result ^ p

@@ -36,24 +36,6 @@ class PackingOutcome:
         assert (self.trees is None) != (self.cert is None)
 
 
-def _forest_components(forest: dict[int, set[int]], n: int) -> list[int]:
-    comp = [-1] * n
-    c = 0
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        comp[start] = c
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for w in forest[x]:
-                if comp[w] == -1:
-                    comp[w] = c
-                    stack.append(w)
-        c += 1
-    return comp
-
-
 def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
     """Pack two edge-disjoint spanning trees or certify impossibility.
 
@@ -72,10 +54,10 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
     )
     in_forest: dict[Edge, int] = {}
     failed: list[tuple[Edge, set[Edge]]] = []
-    # A failed offer leaves both forests as they were, so the components
-    # change only after an augmentation; once both forests span, every
+    # Component labels of both forests, kept up to date in place.  A
+    # failed offer changes neither forest; once both forests span, every
     # later offer would fail, so the scan stops there.
-    comp = [_forest_components(forests[0], n), _forest_components(forests[1], n)]
+    comp = [list(range(n)), list(range(n))]
 
     for e0 in sorted(g.edge_set()):
         if len(in_forest) == 2 * (n - 1):
@@ -98,7 +80,13 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
             continue
         # Apply the swap chain: insert at the success node, then walk up
         # replacing each forest edge by the edge that wanted its slot.
+        # Each swap puts f in place of an edge on f's path in that
+        # forest, which keeps its components; only the insertion joins
+        # two components, of forest j.
         h, j = chain
+        cj = comp[j]
+        old, new = cj[h[1]], cj[h[0]]
+        comp[j] = [new if c == old else c for c in cj]
         forests[j][h[0]].add(h[1])
         forests[j][h[1]].add(h[0])
         in_forest[h] = j
@@ -112,7 +100,6 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
             in_forest[f] = i
             h = f
             parent = label[h]
-        comp = [_forest_components(forests[0], n), _forest_components(forests[1], n)]
 
     t0 = frozenset(e for e, i in in_forest.items() if i == 0)
     t1 = frozenset(e for e, i in in_forest.items() if i == 1)

@@ -380,13 +380,17 @@ def test_exit_codes_for_usage(capsys):
     assert main(["--help"]) == 0
 
 
-# golden name -> sweep flags; the trifree settings reach every coverage line
+# golden name -> sweep flags; the trifree settings reach every coverage line,
+# and packing-n5 and factor-cap10 are the packing and factor universes at
+# the settings of the bench's sweep workload
 SWEEP_GOLDENS = {
     "split-n4-cap5": "--split --n 4 --cap 5",
     "dense-n4-cap5": "--dense --n 4 --cap 5",
     "trifree-n4-cap8": "--trifree --n 4 --cap 8",
     "packing-n4": "--packing --n 4",
+    "packing-n5": "--packing --n 5",
     "factor-cap2": "--factor --cap 2",
+    "factor-cap10": "--factor --cap 10",
     "bipartition-n4-cap5": "--bipartition --n 4 --cap 5",
 }
 

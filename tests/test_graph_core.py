@@ -2,7 +2,7 @@ import pytest
 
 from common import complete, cycle, es, joined_cliques, path
 from oddspan import graph_core
-from oddspan.errors import Disconnected, EmptyGraph, SelfLoop
+from oddspan.errors import Disconnected, EmptyGraph, NotATree, SelfLoop
 from oddspan.families import gen_complete_bipartite, gen_random
 from oddspan.graph_core import (
     Graph,
@@ -18,6 +18,7 @@ from oddspan.graph_core import (
     is_connected,
     is_spanning_tree,
     is_triangle_free,
+    tree_adjacency,
     tree_bipartition,
     tree_path,
 )
@@ -40,6 +41,23 @@ def test_graph_basics():
     assert not g.has_edge(0, 2)
     assert g.edge_set() == es((0, 1), (2, 3))
     assert g == Graph(4, [(2, 3), (0, 1)])
+
+
+def test_edge_set_is_built_once_and_leaves_equality_alone():
+    for n in range(6):
+        for g in all_graphs(n):
+            for h in (g, complement(g)):
+                rebuilt = frozenset((u, v) for u in range(h.n) for v in h.adj[u] if u < v)
+                twin = Graph(h.n, ((v, u) for u, v in rebuilt))
+                assert h._edges is None and twin._edges is None
+                edges = h.edge_set()
+                assert edges == rebuilt
+                assert h.edge_set() is edges
+                assert h.m == len(edges) == sum(map(len, h.adj)) // 2
+                # one side cached, the other not: still equal, same hash
+                assert twin._edges is None
+                assert h == twin and twin == h
+                assert hash(h) == hash(twin)
 
 
 def test_graph_rejects_out_of_range():
@@ -132,12 +150,27 @@ def test_tree_path():
     assert tree_path(t, 5, 1, 1) == frozenset()
 
 
+def test_tree_path_and_adjacency_reject_non_trees():
+    for t, n in (
+        (es((0, 1), (1, 2), (0, 2)), 3),  # a cycle
+        (es((0, 1)), 3),  # too few edges
+        (es((0, 1), (1, 3)), 3),  # an endpoint out of range
+        (es((0, 1), (0, 2), (1, 2), (3, 4)), 5),  # n - 1 edges, two parts
+    ):
+        with pytest.raises(NotATree):
+            tree_path(t, n, 0, 1)
+        with pytest.raises(NotATree):
+            tree_adjacency(t, n)
+
+
 def test_tree_path_endpoint_degrees():
     # endpoints odd (degree 1), interior degree 2, for a spread of pairs
     t = es((0, 1), (1, 2), (1, 3), (3, 4), (4, 5))
+    adj = tree_adjacency(t, 6)  # one validated adjacency walks every path
     for u in range(6):
         for v in range(6):
             p = tree_path(t, 6, u, v)
+            assert frozenset(forest_path(adj, u, v)) == p
             if u == v:
                 assert p == frozenset()
                 continue

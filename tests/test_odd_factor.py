@@ -1,12 +1,14 @@
 import pytest
 
 from common import complete, cycle, es
+from oddspan import graph_core, odd_factor
 from oddspan.errors import NoTreePacking, NotATree, OddOrder
 from oddspan.families import gen_bridge_join, gen_complete, gen_complete_bipartite
 from oddspan.graph_core import degrees, is_spanning_tree
 from oddspan.odd_factor import connected_odd_factor, pair_even_vertices
 from oddspan.oracle import verify_connected_odd_factor
 from oddspan.sweep import circulant
+from oddspan.tree_packing import PackingOutcome
 
 
 def test_pair_even_vertices_all_odd_star():
@@ -50,6 +52,35 @@ def test_factor_k44():
 def test_factor_circulant():
     g = circulant(8, (1, 2))
     _check_trace(g, connected_odd_factor(g))
+
+
+def test_second_tree_is_validated_once_for_all_pairs(monkeypatch):
+    # two even pairs; the first tree is checked by pair_even_vertices,
+    # the second once for both of its paths
+    g = circulant(8, (1, 2))
+    built = []
+    real = graph_core._adjacency
+
+    def counting(edges, n):
+        built.append(frozenset(edges))
+        return real(edges, n)
+
+    monkeypatch.setattr(graph_core, "_adjacency", counting)
+    trace = connected_odd_factor(g)
+    assert len(trace.pairs) == 2
+    assert built == [trace.t1, trace.t2]
+    _check_trace(g, trace)
+
+
+def test_bad_second_tree_raises_not_a_tree(monkeypatch):
+    t1 = es((0, 1), (1, 2), (2, 3))
+    cyclic = es((0, 1), (1, 3), (0, 3))  # n - 1 edges: the cycle 0-1-3, and 2 unreached
+    monkeypatch.setattr(
+        odd_factor, "two_edge_disjoint_spanning_trees",
+        lambda g: PackingOutcome(trees=(t1, cyclic)),
+    )
+    with pytest.raises(NotATree):
+        connected_odd_factor(complete(4))
 
 
 def test_factor_paths_live_in_second_tree():

@@ -107,15 +107,36 @@ def test_exhaustive_pair_search_k4():
     assert exhaustive_pair_search(cycle(4)) is None
 
 
+def _components(forest, n):
+    """Component label of every vertex, found from scratch by a DFS per component."""
+    comp = [-1] * n
+    for start in range(n):
+        if comp[start] != -1:
+            continue
+        comp[start] = start
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for w in forest[x]:
+                if comp[w] == -1:
+                    comp[w] = start
+                    stack.append(w)
+    return comp
+
+
 def _offer_every_edge(g):
     """The packing loop without its early exits: both forests' components
-    are rebuilt before every edge, and every edge is offered."""
+    are rebuilt from scratch before every edge, and every edge is offered.
+
+    Returns the outcome and the number of augmentations whose swap chain
+    moved at least one edge between forests."""
     n = g.n
     forests = ({v: set() for v in range(n)}, {v: set() for v in range(n)})
     in_forest = {}
     failed = []
+    swapped = 0
     for e0 in sorted(g.edge_set()):
-        comp = [tree_packing._forest_components(forests[i], n) for i in (0, 1)]
+        comp = [_components(forests[i], n) for i in (0, 1)]
         label = {e0: tree_packing._ROOT}
         queue = deque([(e0, 0), (e0, 1)])
         chain = None
@@ -132,6 +153,7 @@ def _offer_every_edge(g):
             failed.append((e0, set(label)))
             continue
         h, j = chain
+        swapped += h != e0
         forests[j][h[0]].add(h[1])
         forests[j][h[1]].add(h[0])
         in_forest[h] = j
@@ -148,8 +170,8 @@ def _offer_every_edge(g):
     t0 = frozenset(e for e, i in in_forest.items() if i == 0)
     t1 = frozenset(e for e, i in in_forest.items() if i == 1)
     if len(t0) == n - 1 and len(t1) == n - 1:
-        return PackingOutcome(trees=(t0, t1))
-    return PackingOutcome(cert=tree_packing._extract_certificate(g, failed))
+        return PackingOutcome(trees=(t0, t1)), swapped
+    return PackingOutcome(cert=tree_packing._extract_certificate(g, failed)), swapped
 
 
 def _unpruned_pair_search(g):
@@ -181,15 +203,21 @@ def _unpruned_pair_search(g):
 
 def test_packing_matches_offer_every_edge_on_small_graphs():
     stopped_early = 0
+    swapped = 0
     for n in range(2, 7):
         for g in all_connected_graphs(n):
             out = two_edge_disjoint_spanning_trees(g)
             edges = sorted(g.edge_set())
-            assert out == _offer_every_edge(g), (n, edges)
+            ref, swaps = _offer_every_edge(g)
+            assert out == ref, (n, edges)
+            swapped += swaps
             if out.trees is not None:
                 # the last edge either tree took comes before the last edge
                 stopped_early += max(map(edges.index, out.trees[0] | out.trees[1])) < g.m - 1
     assert stopped_early > 1000
+    # augmentations that swap edges between forests are where the packing
+    # keeps its component labels without a rebuild
+    assert swapped > 1000
 
 
 def test_packing_matches_offer_every_edge_seeded():
@@ -200,7 +228,7 @@ def test_packing_matches_offer_every_edge_seeded():
         if not is_connected(g):
             continue
         out = two_edge_disjoint_spanning_trees(g)
-        assert out == _offer_every_edge(g), (n, i)
+        assert out == _offer_every_edge(g)[0], (n, i)
         outcomes.add(out.trees is None)
     assert outcomes == {True, False}
 
