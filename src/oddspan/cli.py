@@ -50,6 +50,7 @@ from .graph_core import (
     EdgeSet,
     Graph,
     complement,
+    complement_has_triangle,
     diameter,
     edge,
     edge_connectivity,
@@ -244,10 +245,10 @@ def _split(g: Graph) -> Certificate:
 
 
 def _trifree(g: Graph) -> Certificate:
-    try:
-        decision = trifree_complement_tree(complement(g))
-    except NotTriangleFree:
-        raise NotTriangleFree("complement of input must be triangle-free") from None
+    # most inputs fail here, before their complement is built
+    if complement_has_triangle(g):
+        raise NotTriangleFree("complement of input must be triangle-free")
+    decision = trifree_complement_tree(complement(g))
     if decision.exists:
         return _exists(g, "trifree-complement", decision.tree)
     return Certificate(

@@ -117,6 +117,10 @@ class DiameterTooSmall(OddSpanError):
         self.bound = bound
 
 
+class NoDoubleStar(OddSpanError):
+    """The complement of a disconnected graph has no spanning odd double star."""
+
+
 class ExhaustedCases(OddSpanError):
     """Case dispatch fell through; impossible unless a construction was
     transcribed wrong, so the frame is attached for replay."""

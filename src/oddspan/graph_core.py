@@ -33,6 +33,7 @@ __all__ = [
     "bfs_distances",
     "diameter",
     "is_triangle_free",
+    "complement_has_triangle",
     "find_root",
 ]
 
@@ -348,6 +349,23 @@ def is_triangle_free(g: Graph) -> bool:
             if u < v and g.adj[u] & g.adj[v]:
                 return False
     return True
+
+
+def complement_has_triangle(g: Graph) -> bool:
+    """Whether g has three pairwise non-adjacent vertices, that is a
+    triangle in its complement, answered without building the complement.
+
+    Non-adjacent u and v have such a third vertex exactly when their
+    neighbourhoods, which contain neither of them, miss some other vertex.
+    """
+    n = g.n
+    adj = g.adj
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            if v not in au and len(au | adj[v]) < n - 2:
+                return True
+    return False
 
 
 def find_root(parent: list[int], x: int) -> int:

@@ -98,8 +98,10 @@ def enumerate_spanning_trees(
     Deletion/contraction over edges in canonical order: including an edge
     contracts it (union-find), excluding it is allowed only when the
     remaining edges can still reconnect the current components (the bridge
-    shortcut: bridges are never excluded).  A callback returning False
-    stops the enumeration early; the count so far is returned.
+    shortcut: bridges are never excluded).  So the chosen edges plus
+    ``edges[i:]`` stay connected at every node, and the edges never run
+    out while components remain.  A callback returning False stops the
+    enumeration early; the count so far is returned.
 
     The recursion is exponential; callers are expected to stay at desk
     scale (soft cap n <= 10, not enforced).
@@ -112,7 +114,6 @@ def enumerate_spanning_trees(
             visit(frozenset())
         return 1
     edges = sorted(g.edge_set())
-    m = len(edges)
     chosen: list[tuple[int, int]] = []
     count = 0
     stopped = False
@@ -125,8 +126,6 @@ def enumerate_spanning_trees(
             count += 1
             if visit is not None and visit(frozenset(chosen)) is False:
                 stopped = True
-            return
-        if i == m or m - i < ncomp - 1:
             return
         u, v = edges[i]
         ru, rv = find_root(parent, u), find_root(parent, v)
@@ -149,6 +148,14 @@ def enumerate_spanning_trees(
 def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
     """Exhaustive search for an odd spanning tree, include-first.
 
+    Deletion/contraction over edges in canonical order.  At every node
+    the chosen edges plus ``edges[i:]`` form a connected graph: including
+    edge i keeps that union as it is, excluding an edge inside one
+    component cannot disconnect it, and excluding an edge between two
+    components is allowed only when ``edges[i + 1:]`` can still reconnect
+    them.  So the edges never run out while components remain, and only
+    the last case needs ``_reconnectable``.
+
     Prunes on degree parity: once a vertex has no undecided incident
     edges left, its parity is final and must already be odd.
     """
@@ -160,14 +167,10 @@ def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
     if n == 1:
         return None
     edges = sorted(g.edge_set())
-    m = len(edges)
     deg = [0] * n
     undecided = degrees(edges, n)
     chosen: list[tuple[int, int]] = []
     found: EdgeSet | None = None
-
-    def parity_ok(w: int) -> bool:
-        return undecided[w] > 0 or deg[w] % 2 == 1
 
     def rec(i: int, parent: list[int], ncomp: int) -> bool:
         nonlocal found
@@ -176,31 +179,35 @@ def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
                 found = frozenset(chosen)
                 return True
             return False
-        if i == m or m - i < ncomp - 1:
-            return False
-        u, v = edges[i]
+        e = edges[i]
+        u, v = e
         undecided[u] -= 1
         undecided[v] -= 1
-        try:
-            ru, rv = find_root(parent, u), find_root(parent, v)
-            if ru != rv:
-                deg[u] += 1
-                deg[v] += 1
-                if parity_ok(u) and parity_ok(v):
-                    child = parent.copy()
-                    child[ru] = rv
-                    chosen.append(edges[i])
-                    if rec(i + 1, child, ncomp - 1):
-                        return True
-                    chosen.pop()
-                deg[u] -= 1
-                deg[v] -= 1
-            if parity_ok(u) and parity_ok(v) and _reconnectable(parent, ncomp, edges, i + 1):
-                return rec(i + 1, parent, ncomp)
-            return False
-        finally:
-            undecided[u] += 1
-            undecided[v] += 1
+        ru, rv = find_root(parent, u), find_root(parent, v)
+        if ru != rv:
+            deg[u] += 1
+            deg[v] += 1
+            # a vertex whose parity is final must be odd
+            if (undecided[u] or deg[u] % 2) and (undecided[v] or deg[v] % 2):
+                child = parent.copy()
+                child[ru] = rv
+                chosen.append(e)
+                if rec(i + 1, child, ncomp - 1):
+                    return True
+                chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
+        # excluding an edge inside one component keeps the invariant for free
+        if (
+            (undecided[u] or deg[u] % 2)
+            and (undecided[v] or deg[v] % 2)
+            and (ru == rv or _reconnectable(parent, ncomp, edges, i + 1))
+            and rec(i + 1, parent, ncomp)
+        ):
+            return True
+        undecided[u] += 1
+        undecided[v] += 1
+        return False
 
     rec(0, list(range(n)), n)
     return found

@@ -8,7 +8,9 @@ obstruction fails, a tree assembles from a star forest centered on Y
 plus a chain-and-spokes pattern inside the clique.
 
 The same machinery yields a spanning double star in the complement of
-any even-order graph of diameter at least four.
+any connected even-order graph of diameter at least four.  The complement
+of a disconnected graph gets its double star directly, from two centres
+in different components.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     DiameterTooSmall,
     Disconnected,
     EmptyGraph,
+    NoDoubleStar,
     OddOrder,
 )
 from .graph_core import (
@@ -187,19 +190,23 @@ def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
 def double_star_in_complement(g: Graph) -> EdgeSet:
     """Spanning double star in the complement of g.
 
-    Needs even order and diameter at least 4.  Takes the least pair
-    (v0, v4) at distance exactly 4 and builds an auxiliary split graph
-    on clique {v0, v4}: each neighbor of v0 can only attach to v4 in
-    the complement and vice versa, while vertices far from both may
-    attach to either.  The split construction then returns a spanning
-    tree with exactly two internal vertices.
+    Needs even order.  A connected g also needs diameter at least 4:
+    take the least pair (v0, v4) at distance exactly 4 and build an
+    auxiliary split graph on clique {v0, v4}: each neighbor of v0 can
+    only attach to v4 in the complement and vice versa, while vertices
+    far from both may attach to either.  The split construction then
+    returns a spanning tree with exactly two internal vertices.  A
+    disconnected g is handled by ``_cross_component_double_star``.
 
     Raises:
-        OddOrder, DiameterTooSmall, Disconnected.
+        OddOrder, DiameterTooSmall, NoDoubleStar.
     """
     if g.n % 2:
         raise OddOrder(f"order {g.n} is odd")
-    diam = diameter(g)
+    try:
+        diam = diameter(g)
+    except Disconnected:
+        return _cross_component_double_star(g)
     if diam < 4:
         raise DiameterTooSmall(diam, 4)
     v0 = v4 = -1
@@ -225,3 +232,47 @@ def double_star_in_complement(g: Graph) -> EdgeSet:
     tree = split_odd_spanning_tree(gprime, sp)
     assert sum(1 for d in degrees(tree, g.n) if d >= 2) == 2
     return tree
+
+
+def _cross_component_double_star(g: Graph) -> EdgeSet:
+    """Double star in the complement of a disconnected even-order g.
+
+    Centres v0 and v4 from different components are adjacent in the
+    complement and share no neighbor in g.  N(v0) must hang on v4,
+    N(v4) on v0, and every other leaf on either; each centre needs an
+    even number of leaves, at least 2, for odd degree.  Takes the least
+    pair where that split exists, giving v0 the fewest leaves it can have
+    and the lowest free ones.  A pair inside one component that admits
+    the split can trade one centre for a vertex of another component, so
+    when no cross pair works the complement has no odd double star.
+
+    Raises:
+        NoDoubleStar: no cross-component pair admits the split.
+    """
+    n = g.n
+    comp = [-1] * n
+    for s in range(n):
+        if comp[s] < 0:
+            for w, d in enumerate(bfs_distances(g.adj, s)):
+                if d >= 0:
+                    comp[w] = s
+    for v0 in range(n):
+        for v4 in range(v0 + 1, n):
+            if comp[v0] == comp[v4]:
+                continue
+            forced0, forced4 = g.adj[v4], g.adj[v0]
+            on0 = max(len(forced0), 2)
+            on0 += on0 % 2
+            on4 = max(len(forced4), 2)
+            on4 += on4 % 2
+            if on0 + on4 > n - 2:
+                continue
+            taken = forced0 | forced4 | {v0, v4}
+            free = [w for w in range(n) if w not in taken]
+            leaves0 = forced0 | set(free[: on0 - len(forced0)])
+            edges = {edge(v0, v4)}
+            for w in range(n):
+                if w not in (v0, v4):
+                    edges.add(edge(w, v0 if w in leaves0 else v4))
+            return frozenset(edges)
+    raise NoDoubleStar(f"no spanning odd double star in the complement of this {n}-vertex graph")

@@ -88,8 +88,33 @@ def all_graphs(n: int) -> Iterator[Graph]:
         yield Graph(n, (p for i, p in enumerate(ps) if mask >> i & 1))
 
 
+def connected_cases(n: int) -> Iterator[Case]:
+    """Every connected labeled graph on 0..n-1 as a case, in the order of
+    ``all_graphs``; the edges of a mask come out sorted."""
+    ps = _pairs(n)
+    full = (1 << n) - 1
+    for mask in range(1 << len(ps)):
+        if mask.bit_count() < n - 1:
+            continue
+        nbr = [0] * n
+        for i, (u, v) in enumerate(ps):
+            if mask >> i & 1:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+        # reachability from vertex 0 on vertex bitmasks
+        seen = todo = 1
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = nbr[low.bit_length() - 1] & ~seen
+            seen |= new
+            todo |= new
+        if seen == full:
+            yield (n, tuple(p for i, p in enumerate(ps) if mask >> i & 1))
+
+
 def all_connected_graphs(n: int) -> Iterator[Graph]:
-    return (g for g in all_graphs(n) if is_connected(g))
+    return (Graph(*case) for case in connected_cases(n))
 
 
 def circulant(n: int, steps: tuple[int, ...]) -> Graph:
@@ -273,7 +298,7 @@ def _wide_split(g: Graph) -> bool:
 def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Criterion-vs-oracle equivalence on split graphs with |Y| >= 2."""
     cases = [
-        _case(g) for n in range(2, max_n + 1) for g in all_connected_graphs(n) if _wide_split(g)
+        c for n in range(2, max_n + 1) for c in connected_cases(n) if _wide_split(Graph(*c))
     ]
     grid = [(s, t) for s in range(1, 7) for t in range(2, 6) if (s + t) % 2 == 0]
     ps = (0.3, 0.6, 0.9)
@@ -343,7 +368,7 @@ def _packing_case(case: Case) -> Outcome:
 
 def sweep_packing(workers: int = 1, max_n: int = 6) -> SweepReport:
     """Tree packing vs exhaustive pair search on all connected graphs."""
-    cases = [_case(g) for n in range(2, max_n + 1) for g in all_connected_graphs(n)]
+    cases = [c for n in range(2, max_n + 1) for c in connected_cases(n)]
     return _report(f"connected graphs n<={max_n}", _packing_case, cases, workers)
 
 
@@ -422,7 +447,7 @@ def _non_bipartite(g: Graph) -> bool:
 def sweep_bipartition(seeded: int = 200, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Spanning trees of bipartite graphs all inherit the bipartition;
     non-bipartite graphs always exhibit two differing tree partitions."""
-    cases = [_case(g) for n in range(2, max_n + 1) for g in all_connected_graphs(n)]
+    cases = [c for n in range(2, max_n + 1) for c in connected_cases(n)]
     ps = (0.3, 0.5, 0.7)
     cases += _seeded(lambda i: gen_random(7, ps[i % len(ps)], i), _non_bipartite, seeded)
     title = f"connected graphs n<={max_n} plus {seeded} seeded non-bipartite n=7"

@@ -372,6 +372,16 @@ def test_exit_codes_for_bad_input(capsys):
     assert run_cli(capsys, "check", "/nonexistent/file.txt")[0] == 65
 
 
+def test_construct_double_star_on_disconnected_input(capsys):
+    # the complement of three disjoint edges is the octahedron
+    code, out = run_cli(capsys, "construct", "--double-star", stdin="6 3\n0 1\n2 3\n4 5\n")
+    assert code == 0
+    assert out == "EXISTS double-star\nT 0 2\nT 0 3\nT 0 4\nT 1 2\nT 2 5\n"
+    # K1 plus a triangle: four vertices are too few for two centres of odd degree
+    code, out = run_cli(capsys, "construct", "--double-star", stdin="4 3\n1 2\n1 3\n2 3\n")
+    assert code == 65 and out == ""
+
+
 def test_exit_codes_for_usage(capsys):
     assert main(["gen", "--family", "complete"]) == 64
     assert main(["bogus"]) == 64
@@ -381,8 +391,8 @@ def test_exit_codes_for_usage(capsys):
 
 
 # golden name -> sweep flags; the trifree settings reach every coverage line,
-# and packing-n5 and factor-cap10 are the packing and factor universes at
-# the settings of the bench's sweep workload
+# and packing-n5, factor-cap10, split-n5-cap100 and bipartition-n5-cap40 are
+# those universes at the settings of the bench's sweep workload
 SWEEP_GOLDENS = {
     "split-n4-cap5": "--split --n 4 --cap 5",
     "dense-n4-cap5": "--dense --n 4 --cap 5",
@@ -392,6 +402,8 @@ SWEEP_GOLDENS = {
     "factor-cap2": "--factor --cap 2",
     "factor-cap10": "--factor --cap 10",
     "bipartition-n4-cap5": "--bipartition --n 4 --cap 5",
+    "split-n5-cap100": "--split --n 5 --cap 100",
+    "bipartition-n5-cap40": "--bipartition --n 5 --cap 40",
 }
 
 

@@ -9,6 +9,7 @@ from oddspan.graph_core import (
     bfs_distances,
     bipartition,
     complement,
+    complement_has_triangle,
     diameter,
     edge,
     edge_connectivity,
@@ -305,3 +306,15 @@ def test_is_triangle_free():
     assert not is_triangle_free(complete(3))
     assert not is_triangle_free(complete(4))
     assert is_triangle_free(Graph(3))
+
+
+def test_complement_has_triangle_matches_built_complement():
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    graphs += [gen_random(n, p, seed) for n in range(7, 41, 3) for p in (0.5, 0.8, 0.95)
+               for seed in range(10)]
+    hits = 0
+    for g in graphs:
+        want = not is_triangle_free(complement(g))
+        assert complement_has_triangle(g) == want, (g.n, sorted(g.edge_set()))
+        hits += want
+    assert 0 < hits < len(graphs)

@@ -2,8 +2,8 @@ import pytest
 
 from common import complete, cycle, es, path
 from oddspan.errors import Disconnected, SizeCap
-from oddspan.families import gen_complete_bipartite
-from oddspan.graph_core import Graph
+from oddspan.families import gen_complete_bipartite, gen_random
+from oddspan.graph_core import Graph, degrees, find_root, is_connected
 from oddspan.oracle import (
     EVEN_DEGREE_VERTEX,
     HAS_CYCLE,
@@ -13,6 +13,7 @@ from oddspan.oracle import (
     ODD_FACTOR_EDGE_CAP,
     ODD_TREE_VERTEX_CAP,
     WRONG_EDGE_COUNT,
+    _reconnectable,
     enumerate_spanning_trees,
     find_connected_odd_factor_bruteforce,
     find_odd_spanning_tree_bruteforce,
@@ -124,3 +125,114 @@ def test_size_caps():
         find_odd_spanning_tree_bruteforce(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(Disconnected):
         find_connected_odd_factor_bruteforce(Graph(4, [(0, 1), (2, 3)]))
+
+
+# Frozen copies of the two searches as they were before the search
+# invariant let them skip the reconnect tests and the edge-count guard.
+# The searches must keep visiting the same nodes in the same order.
+
+
+def _frozen_enumerate(g):
+    n = g.n
+    if n == 1:
+        return [frozenset()]
+    edges = sorted(g.edge_set())
+    m = len(edges)
+    chosen = []
+    out = []
+
+    def rec(i, parent, ncomp):
+        if ncomp == 1:
+            out.append(frozenset(chosen))
+            return
+        if i == m or m - i < ncomp - 1:
+            return
+        u, v = edges[i]
+        ru, rv = find_root(parent, u), find_root(parent, v)
+        if ru != rv:
+            child = parent.copy()
+            child[ru] = rv
+            chosen.append(edges[i])
+            rec(i + 1, child, ncomp - 1)
+            chosen.pop()
+            if _reconnectable(parent, ncomp, edges, i + 1):
+                rec(i + 1, parent, ncomp)
+        else:
+            rec(i + 1, parent, ncomp)
+
+    rec(0, list(range(n)), n)
+    return out
+
+
+def _frozen_find_odd_tree(g):
+    n = g.n
+    if n == 1:
+        return None
+    edges = sorted(g.edge_set())
+    m = len(edges)
+    deg = [0] * n
+    undecided = degrees(edges, n)
+    chosen = []
+    found = None
+
+    def parity_ok(w):
+        return undecided[w] > 0 or deg[w] % 2 == 1
+
+    def rec(i, parent, ncomp):
+        nonlocal found
+        if ncomp == 1:
+            if all(d % 2 == 1 for d in deg):
+                found = frozenset(chosen)
+                return True
+            return False
+        if i == m or m - i < ncomp - 1:
+            return False
+        u, v = edges[i]
+        undecided[u] -= 1
+        undecided[v] -= 1
+        try:
+            ru, rv = find_root(parent, u), find_root(parent, v)
+            if ru != rv:
+                deg[u] += 1
+                deg[v] += 1
+                if parity_ok(u) and parity_ok(v):
+                    child = parent.copy()
+                    child[ru] = rv
+                    chosen.append(edges[i])
+                    if rec(i + 1, child, ncomp - 1):
+                        return True
+                    chosen.pop()
+                deg[u] -= 1
+                deg[v] -= 1
+            if parity_ok(u) and parity_ok(v) and _reconnectable(parent, ncomp, edges, i + 1):
+                return rec(i + 1, parent, ncomp)
+            return False
+        finally:
+            undecided[u] += 1
+            undecided[v] += 1
+
+    rec(0, list(range(n)), n)
+    return found
+
+
+def test_find_odd_tree_matches_frozen_search():
+    from oddspan.sweep import all_connected_graphs
+
+    graphs = [g for n in range(1, 7) for g in all_connected_graphs(n)]
+    # odd order searches the whole tree space, so n = 9 stays sparse
+    grid = [(n, p) for n in (7, 8, 10) for p in (0.3, 0.5, 0.7, 0.9)]
+    grid += [(9, 0.3), (9, 0.5)]
+    seeded = (gen_random(n, p, seed) for n, p in grid for seed in range(60))
+    graphs += [g for g in seeded if is_connected(g)]
+    for g in graphs:
+        assert find_odd_spanning_tree_bruteforce(g) == _frozen_find_odd_tree(g), g.edge_set()
+
+
+def test_enumerate_order_matches_frozen_search():
+    from oddspan.sweep import all_connected_graphs
+
+    for n in range(1, 6):
+        for g in all_connected_graphs(n):
+            got = []
+            enumerate_spanning_trees(g, got.append)
+            assert got == _frozen_enumerate(g), g.edge_set()

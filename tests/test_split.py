@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from common import complete, cycle, es, path
@@ -5,11 +7,11 @@ from oddspan.errors import (
     BadWitness,
     ConditionHolds,
     DiameterTooSmall,
-    Disconnected,
+    NoDoubleStar,
     OddOrder,
 )
 from oddspan.families import gen_random_split
-from oddspan.graph_core import Graph, complement, degrees, is_connected
+from oddspan.graph_core import Graph, complement, degrees, edge, is_connected
 from oddspan.oracle import verify_odd_spanning_tree
 from oddspan.split import (
     SplitPartition,
@@ -20,6 +22,7 @@ from oddspan.split import (
     split_odd_spanning_tree,
     validate_partition,
 )
+from oddspan.sweep import all_graphs
 
 
 def test_recognition_k4():
@@ -167,8 +170,39 @@ def test_double_star_preconditions():
         double_star_in_complement(complete(4))
     with pytest.raises(OddOrder):
         double_star_in_complement(path(5))
-    with pytest.raises(Disconnected):
-        double_star_in_complement(Graph(6, [(0, 1), (2, 3), (4, 5)]))
+    with pytest.raises(NoDoubleStar, match="no spanning odd double star"):
+        double_star_in_complement(Graph(4, [(1, 2), (1, 3), (2, 3)]))
+
+
+def _odd_double_stars(n: int) -> list[frozenset]:
+    """Every spanning double star of K_n whose two centres have odd degree."""
+    out = []
+    for a, b in combinations(range(n), 2):
+        rest = [w for w in range(n) if w not in (a, b)]
+        for k in range(2, len(rest) - 1, 2):
+            for on_a in combinations(rest, k):
+                legs = {edge(w, a if w in on_a else b) for w in rest}
+                out.append(frozenset(legs | {edge(a, b)}))
+    return out
+
+
+def test_double_star_on_disconnected_graphs_matches_exhaustive_search():
+    built = refused = 0
+    for n in (2, 4, 6):
+        stars = _odd_double_stars(n)
+        for g in all_graphs(n):
+            if is_connected(g):
+                continue
+            exists = any(not (t & g.edge_set()) for t in stars)
+            if not exists:
+                with pytest.raises(NoDoubleStar):
+                    double_star_in_complement(g)
+                refused += 1
+                continue
+            t = double_star_in_complement(g)
+            assert t in stars and verify_odd_spanning_tree(complement(g), t).ok
+            built += 1
+    assert (built, refused) == (5893, 198)
 
 
 def test_random_split_graphs_are_recognized():
