@@ -142,7 +142,8 @@ def emit_graph(g: Graph) -> str:
 
 def emit_certificate(c: Certificate) -> str:
     # an EXISTS answer is only ever emitted once its witness re-verified
-    assert c.verified or c.verdict in (NOT_EXISTS, UNKNOWN), "unverified EXISTS"
+    if not c.verified and c.verdict not in (NOT_EXISTS, UNKNOWN):
+        raise AssertionError("unverified EXISTS")
     lines = [f"{c.verdict} {c.method}"]
     lines.extend(f"T {u} {v}" for u, v in sorted(c.edges or ()))
     lines.extend(f"P {name}:{','.join(str(v) for v in vs)}" for name, vs in c.parts)
@@ -211,19 +212,26 @@ def _exists(g: Graph, method: str, witness: EdgeSet, factor: bool = False) -> Ce
         rep = verify_connected_odd_factor(g, witness)
     else:
         rep = verify_odd_spanning_tree(g, witness)
-    assert rep.ok, f"constructed witness failed verification: {rep}"
+    if not rep.ok:  # not an assert, so that ``python -O`` keeps the check
+        raise AssertionError(f"constructed witness failed verification: {rep}")
     return Certificate(EXISTS, method, edges=witness, verified=True)
 
 
-_DISCONNECTED = Certificate(NOT_EXISTS, "disconnected", reason="disconnected")
-
-
-def _odd_order(g: Graph) -> Certificate:
-    return Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}")
-
-
-# Each method takes a nonempty graph and returns a Certificate, or raises
+# Each method takes a nonempty graph and returns a Certificate, or None or
 # a typed error when the graph is outside its scope.
+
+
+def _parity(g: Graph) -> Certificate | None:
+    why = find_nonexistence(g)
+    if why is None:
+        return None
+    if why.kind == "bipartite-even-parts":
+        bp = why.witness
+        parts = (_part("left", bp.left), _part("right", bp.right))
+        reason = f"{why.kind} {len(bp.left)} {len(bp.right)}"
+        return Certificate(NOT_EXISTS, why.kind, parts=parts, reason=reason)
+    u, v = why.witness
+    return Certificate(NOT_EXISTS, why.kind, reason=f"{why.kind} {u} {v}")
 
 
 def _split(g: Graph) -> Certificate:
@@ -232,8 +240,6 @@ def _split(g: Graph) -> Certificate:
         raise NotSplit("input is not a split graph")
     try:
         tree = split_odd_spanning_tree(g, sp)
-    except Disconnected:
-        return _DISCONNECTED
     except ConditionHolds:
         return Certificate(
             NOT_EXISTS,
@@ -263,10 +269,7 @@ def _dense(g: Graph) -> Certificate:
 def _oracle(g: Graph) -> Certificate:
     if g.n > ODD_TREE_VERTEX_CAP:
         return Certificate(UNKNOWN, "oracle-capped", reason=f"size-cap {ODD_TREE_VERTEX_CAP}")
-    try:
-        tree = find_odd_spanning_tree_bruteforce(g)
-    except Disconnected:
-        return _DISCONNECTED
+    tree = find_odd_spanning_tree_bruteforce(g)
     if tree is None:
         return Certificate(NOT_EXISTS, "oracle-exhaustive", reason="oracle-exhaustive")
     return _exists(g, "oracle-exhaustive", tree)
@@ -279,8 +282,9 @@ def _double_star(g: Graph) -> Certificate:
 
 
 def _factor(g: Graph, strict: bool = False) -> Certificate:
+    # a disconnected graph is answered as such before --strict can refuse it
     if not is_connected(g):
-        return _DISCONNECTED
+        raise Disconnected("a connected odd factor needs a connected graph")
     if strict and not edge_connectivity_at_least(g, 4):
         raise EdgeConnectivityTooLow(f"edge connectivity {edge_connectivity(g)} < 4")
     try:
@@ -297,6 +301,7 @@ def _factor(g: Graph, strict: bool = False) -> Certificate:
 
 
 METHODS = {
+    "parity": _parity,
     "split": _split,
     "trifree": _trifree,
     "dense": _dense,
@@ -305,44 +310,39 @@ METHODS = {
     "factor": _factor,
 }
 
+# decide's stages, cheap to exhaustive; all but the parity screen answer alone
+PIPELINE = ("parity", "split", "trifree", "dense", "oracle")
+_DISCONNECTED = Certificate(NOT_EXISTS, "disconnected", reason="disconnected")
 
-def run_method(g: Graph, name: str, **options) -> Certificate:
-    """Answer with the one named method; ``check --method`` and ``construct``."""
+
+def run_method(g: Graph, *names: str, **options) -> Certificate:
+    """Answer with the first of the named methods that has g in its scope.
+
+    Every method but the last passes g on when g is outside its scope;
+    the last one takes the options, and its scope error reaches the
+    caller.  ``check``, ``check --method`` and ``construct`` all answer
+    through here.
+    """
     if g.n == 0:
         raise EmptyGraph("no vertices")
     try:
-        return METHODS[name](g, **options)
-    except OddOrder:
-        return _odd_order(g)
-
-
-def decide(g: Graph) -> Certificate:
-    """Escalate through the decision methods from cheap to exhaustive."""
-    if g.n == 0:
-        raise EmptyGraph("no vertices")
-    try:
-        why = find_nonexistence(g)
+        for name in names[:-1]:
+            try:
+                cert = METHODS[name](g)
+            except (NotSplit, NotTriangleFree, MinDegreeTooLow, ExhaustedCases):
+                continue  # outside this method's scope; try the next one
+            if cert is not None:
+                return cert
+        return METHODS[names[-1]](g, **options)
     except Disconnected:
         return _DISCONNECTED
     except OddOrder:
-        return _odd_order(g)
-    if why is not None:
-        if why.kind == "bipartite-even-parts":
-            bp = why.witness
-            return Certificate(
-                NOT_EXISTS,
-                why.kind,
-                parts=(_part("left", bp.left), _part("right", bp.right)),
-                reason=f"{why.kind} {len(bp.left)} {len(bp.right)}",
-            )
-        u, v = why.witness
-        return Certificate(NOT_EXISTS, why.kind, reason=f"{why.kind} {u} {v}")
-    for method in (_split, _trifree, _dense):
-        try:
-            return method(g)
-        except (NotSplit, NotTriangleFree, MinDegreeTooLow, ExhaustedCases):
-            pass  # this method does not apply; try the next one
-    return _oracle(g)
+        return Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}")
+
+
+def decide(g: Graph) -> Certificate:
+    """Escalate through the pipeline from cheap to exhaustive."""
+    return run_method(g, *PIPELINE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -488,7 +488,7 @@ def _build_parser() -> _Parser:
     # a no-op kept so that scripts which pass it still run
     p.add_argument("--odd-spanning-tree", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--method", default="auto",
-                   choices=["auto", "split", "trifree", "dense", "oracle"])
+                   choices=["auto", *PIPELINE[1:]])
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct", help="build a witness with one named method")

@@ -32,7 +32,6 @@ from .graph_core import (
     Graph,
     bfs_distances,
     degrees,
-    diameter,
     edge,
     is_connected,
 )
@@ -170,8 +169,7 @@ def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
     t = len(sp.y)
     if t == 1:
         return g.edge_set()
-    if _x_degrees_odd(g, sp) and _neighborhoods_disjoint(g, sp):
-        raise ConditionHolds("the nonexistence criterion is satisfied")
+    # raises ConditionHolds exactly when the nonexistence criterion holds
     forest = build_y_star_forest(g, sp)
     sizes = {y: 0 for y in sp.y}
     for c in forest.assignment.values():
@@ -199,24 +197,25 @@ def double_star_in_complement(g: Graph) -> EdgeSet:
     disconnected g is handled by ``_cross_component_double_star``.
 
     Raises:
-        OddOrder, DiameterTooSmall, NoDoubleStar.
+        OddOrder, EmptyGraph, DiameterTooSmall, NoDoubleStar.
     """
     if g.n % 2:
         raise OddOrder(f"order {g.n} is odd")
-    try:
-        diam = diameter(g)
-    except Disconnected:
-        return _cross_component_double_star(g)
-    if diam < 4:
-        raise DiameterTooSmall(diam, 4)
-    v0 = v4 = -1
-    for v in range(g.n):
-        dist = bfs_distances(g.adj, v)
-        far = [w for w in range(g.n) if dist[w] == 4]
-        if far:
-            v0, v4 = v, min(far)
+    if g.n == 0:
+        raise EmptyGraph("connectivity of the empty graph is undefined here")
+    # one pass: a BFS that misses a vertex means g is disconnected, and a
+    # pair at distance exactly 4 exists iff the diameter is at least 4
+    diam = 0
+    for v0 in range(g.n):
+        dist = bfs_distances(g.adj, v0)
+        if -1 in dist:
+            return _cross_component_double_star(g)
+        if 4 in dist:
+            v4 = dist.index(4)
             break
-    assert v0 >= 0, "diameter >= 4 guarantees a distance-4 pair"
+        diam = max(diam, *dist)
+    else:
+        raise DiameterTooSmall(diam, 4)
     edges = {edge(v0, v4)}
     for p in g.adj[v0]:
         edges.add(edge(p, v4))

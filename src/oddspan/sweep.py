@@ -269,10 +269,8 @@ def _split_case(case: Case) -> Outcome:
             split_no_tree_condition(g, sp)
             return (f"odd order accepted by condition: n={n} edges={edges}", "odd-order", None)
         except OddOrder:
-            pass
-        if find_odd_spanning_tree_bruteforce(g) is not None:
-            return (f"odd-order graph has a tree?! n={n} edges={edges}", "odd-order", None)
-        return (None, "odd-order", None)
+            # no odd spanning tree at odd order, by the handshake lemma
+            return (None, "odd-order", None)
     cond = split_no_tree_condition(g, sp)
     oracle_none = find_odd_spanning_tree_bruteforce(g) is None
     if cond != oracle_none:

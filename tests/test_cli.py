@@ -1,8 +1,10 @@
+import hashlib
 import io
 import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,48 @@ def test_parse_certificate_non_integer_field(capsys, tmp_path, line):
 def test_emit_refuses_unverified_exists():
     with pytest.raises(AssertionError):
         emit_certificate(Certificate("EXISTS", "dense-min-degree", edges=es((0, 1))))
+
+
+# a witness that fails verification, for a dense construction patched to
+# return a path; the last line exits with main's code
+_WRONG_DENSE_WITNESS = """\
+import sys
+from oddspan import cli
+cli.odd_spanning_tree_dense = lambda g: frozenset((v, v + 1) for v in range(g.n - 1))
+try:
+    cli.emit_certificate(cli.Certificate("EXISTS", "dense-min-degree"))
+    print("emitted an unverified EXISTS")
+except AssertionError:
+    pass
+sys.exit(cli.main(["construct", "--dense", sys.argv[1]]))
+"""
+
+
+def test_wrong_witness_is_refused_under_python_optimize(tmp_path):
+    # ``python -O`` strips assert statements; both guards must survive it
+    graph = tmp_path / "k6.txt"
+    graph.write_text(K6)
+    src = str(Path(oddspan.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_DENSE_WITNESS, str(graph)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 70, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("internal: constructed witness failed verification")
+
+
+def test_decide_matches_all_graphs_golden():
+    # pinned at the commit before ``decide`` became the pipeline loop
+    digest = hashlib.sha256()
+    headers: Counter[str] = Counter()
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            out = emit_certificate(decide(g))
+            digest.update(out.encode())
+            headers[out.split("\n", 1)[0]] += 1
+    lines = [f"sha256 {digest.hexdigest()}"] + [f"{h} {k}" for h, k in sorted(headers.items())]
+    assert "\n".join(lines) + "\n" == golden("check", "decide-all-n6")
 
 
 def test_check_c4_matches_golden(capsys, tmp_path):

@@ -7,11 +7,12 @@ from oddspan.errors import (
     BadWitness,
     ConditionHolds,
     DiameterTooSmall,
+    EmptyGraph,
     NoDoubleStar,
     OddOrder,
 )
 from oddspan.families import gen_random_split
-from oddspan.graph_core import Graph, complement, degrees, edge, is_connected
+from oddspan.graph_core import Graph, complement, degrees, diameter, edge, is_connected
 from oddspan.oracle import verify_odd_spanning_tree
 from oddspan.split import (
     SplitPartition,
@@ -172,6 +173,20 @@ def test_double_star_preconditions():
         double_star_in_complement(path(5))
     with pytest.raises(NoDoubleStar, match="no spanning odd double star"):
         double_star_in_complement(Graph(4, [(1, 2), (1, 3), (2, 3)]))
+    with pytest.raises(EmptyGraph):
+        double_star_in_complement(Graph(0))
+
+
+def test_diameter_too_small_reports_the_diameter():
+    refused = 0
+    for g in (g for n in (2, 4, 6) for g in all_graphs(n)):
+        if not is_connected(g) or diameter(g) >= 4:
+            continue
+        with pytest.raises(DiameterTooSmall) as info:
+            double_star_in_complement(g)
+        assert info.value.diam == diameter(g), sorted(g.edge_set())
+        refused += 1
+    assert refused > 0
 
 
 def _odd_double_stars(n: int) -> list[frozenset]:
