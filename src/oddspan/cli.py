@@ -16,7 +16,7 @@ import argparse
 import inspect
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dense_tree import odd_spanning_tree_dense
 from .errors import (
@@ -25,8 +25,6 @@ from .errors import (
     DuplicateEdge,
     EdgeConnectivityTooLow,
     EmptyGraph,
-    ExhaustedCases,
-    GreedyStalled,
     MinDegreeTooLow,
     NoTreePacking,
     NotSplit,
@@ -80,8 +78,7 @@ EX_DATA = 65
 EX_INTERNAL = 70
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """One verdict with a machine-checkable payload."""
 
     verdict: str
@@ -312,7 +309,6 @@ METHODS = {
 
 # decide's stages, cheap to exhaustive; all but the parity screen answer alone
 PIPELINE = ("parity", "split", "trifree", "dense", "oracle")
-_DISCONNECTED = Certificate(NOT_EXISTS, "disconnected", reason="disconnected")
 
 
 def run_method(g: Graph, *names: str, **options) -> Certificate:
@@ -329,13 +325,13 @@ def run_method(g: Graph, *names: str, **options) -> Certificate:
         for name in names[:-1]:
             try:
                 cert = METHODS[name](g)
-            except (NotSplit, NotTriangleFree, MinDegreeTooLow, ExhaustedCases):
+            except (NotSplit, NotTriangleFree, MinDegreeTooLow):
                 continue  # outside this method's scope; try the next one
             if cert is not None:
                 return cert
         return METHODS[names[-1]](g, **options)
     except Disconnected:
-        return _DISCONNECTED
+        return Certificate(NOT_EXISTS, "disconnected", reason="disconnected")
     except OddOrder:
         return Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}")
 
@@ -539,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (GreedyStalled, ExhaustedCases, NoTreePacking, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"internal: {exc}", file=sys.stderr)
         return EX_INTERNAL
     except (OddSpanError, ValueError) as exc:

@@ -9,88 +9,49 @@ exists until the tree spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import EmptyGraph, GreedyStalled, MinDegreeTooLow, OddOrder
-from .graph_core import Edge, EdgeSet, Graph, degrees, edge
-
-
-@dataclass
-class GrowthState:
-    """Mutable scratch state for the greedy growth loop."""
-
-    anchor: int
-    removed_edge: Edge | None
-    tree: set[Edge] = field(default_factory=set)
-    inside: set[int] = field(default_factory=set)
-
-
-def init_state(g: Graph) -> GrowthState:
-    """Seed the growth with an odd-degree star.
-
-    If some vertex has odd degree, its full star works.  Otherwise every
-    degree is even; take a maximum-degree vertex and drop the spoke to
-    its lowest neighbor, leaving an odd center.  Ties break to the
-    lowest vertex id.
-    """
-    if g.n == 0:
-        raise EmptyGraph("cannot grow a tree in the empty graph")
-    if g.n % 2:
-        raise OddOrder(f"order {g.n} is odd")
-    bound = g.n // 2 + 1
-    if g.min_degree() < bound:
-        raise MinDegreeTooLow(g.min_degree(), bound)
-    odd = [v for v in range(g.n) if g.degree(v) % 2]
-    if odd:
-        v = odd[0]
-        removed: Edge | None = None
-        spokes = sorted(g.adj[v])
-    else:
-        dmax = max(g.degree(v) for v in range(g.n))
-        v = min(w for w in range(g.n) if g.degree(w) == dmax)
-        vprime = min(g.adj[v])
-        removed = edge(v, vprime)
-        spokes = sorted(g.adj[v] - {vprime})
-    st = GrowthState(anchor=v, removed_edge=removed)
-    st.tree = {edge(v, w) for w in spokes}
-    st.inside = {v, *spokes}
-    return st
-
-
-def grow_step(h: Graph, st: GrowthState) -> bool:
-    """Attach two outside leaves to one inside vertex; False if stuck.
-
-    h is the working graph: the input minus ``removed_edge``.  Mutates
-    ``st`` in place.  Choices are lowest-first throughout.
-    """
-    for z in sorted(st.inside):
-        outside = sorted(h.adj[z] - st.inside)
-        if len(outside) >= 2:
-            x, y = outside[0], outside[1]
-            st.tree.add(edge(z, x))
-            st.tree.add(edge(z, y))
-            st.inside.add(x)
-            st.inside.add(y)
-            d = degrees(st.tree, h.n)
-            assert all(d[w] % 2 == 1 for w in st.inside), "parity broke"
-            return True
-    return False
+from .errors import EmptyGraph, MinDegreeTooLow, OddOrder
+from .graph_core import EdgeSet, Graph, edge
 
 
 def odd_spanning_tree_dense(g: Graph) -> EdgeSet:
     """Odd spanning tree of g, assuming min degree at least n/2 + 1.
 
+    The star is the full star of the lowest odd-degree vertex; if every
+    degree is even, that of the lowest maximum-degree vertex less the
+    spoke to its lowest neighbor.  Each step then takes the lowest inside
+    vertex with two outside neighbors and hangs the lowest two on it.
+
     Raises:
-        OddOrder, MinDegreeTooLow: precondition failures.
-        GreedyStalled: growth stuck before spanning; carries the state.
-            Unreachable when the degree bound holds.
+        EmptyGraph, OddOrder, MinDegreeTooLow: precondition failures.
     """
-    st = init_state(g)
-    if st.removed_edge is None:
-        h = g
+    n = g.n
+    if n == 0:
+        raise EmptyGraph("cannot grow a tree in the empty graph")
+    if n % 2:
+        raise OddOrder(f"order {n} is odd")
+    bound = n // 2 + 1
+    if g.min_degree() < bound:
+        raise MinDegreeTooLow(g.min_degree(), bound)
+    odd = [v for v in range(n) if g.degree(v) % 2]
+    if odd:
+        v = odd[0]
+        spokes = g.adj[v]
     else:
-        h = Graph(g.n, g.edge_set() - {st.removed_edge})
-    while len(st.inside) < g.n:
-        if not grow_step(h, st):
-            raise GreedyStalled(st)
-    return frozenset(st.tree)
+        dmax = max(g.degree(w) for w in range(n))
+        v = min(w for w in range(n) if g.degree(w) == dmax)
+        # both ends of the dropped spoke are inside, so no step can use it
+        spokes = g.adj[v] - {min(g.adj[v])}
+    tree = {edge(v, w) for w in spokes}
+    inside = {v, *spokes}
+    # The star holds more than n/2 vertices, and the number k outside stays
+    # even.  Each outside vertex has at most k - 1 neighbors outside, so
+    # they send at least k(n/2 + 2 - k) edges inside: more than the n - k
+    # inside vertices for 2 <= k <= n/2 - 1, so some inside vertex has two.
+    while len(inside) < n:
+        z = next((z for z in sorted(inside) if len(g.adj[z] - inside) >= 2), None)
+        if z is None:  # not an assert, so that ``python -O`` keeps the check
+            raise AssertionError("dense greedy found no inside vertex with two outside neighbors")
+        x, y = sorted(g.adj[z] - inside)[:2]
+        tree |= {edge(z, x), edge(z, y)}
+        inside |= {x, y}
+    return frozenset(tree)

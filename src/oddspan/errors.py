@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every failure mode callers are expected to branch on gets its own class;
-errors that carry evidence (a certificate, a stalled search state) keep it
-on the instance so tooling can inspect it.
+errors that carry evidence (a certificate) keep it on the instance so
+tooling can inspect it.
 """
 
 from __future__ import annotations
@@ -75,21 +75,8 @@ class MinDegreeTooLow(OddSpanError):
         self.bound = bound
 
 
-class GreedyStalled(OddSpanError):
-    """Dense greedy growth stalled before spanning; unreachable under the
-    degree precondition, raised with the full state for triage."""
-
-    def __init__(self, state: Any) -> None:
-        super().__init__("greedy growth stalled before spanning")
-        self.state = state
-
-
 class NotTriangleFree(OddSpanError):
     """Graph contains a triangle."""
-
-
-class GIsOdd(OddSpanError):
-    """Graph has all degrees odd; caller should use the odd-graph construction."""
 
 
 class NotSplit(OddSpanError):
@@ -119,12 +106,3 @@ class DiameterTooSmall(OddSpanError):
 
 class NoDoubleStar(OddSpanError):
     """The complement of a disconnected graph has no spanning odd double star."""
-
-
-class ExhaustedCases(OddSpanError):
-    """Case dispatch fell through; impossible unless a construction was
-    transcribed wrong, so the frame is attached for replay."""
-
-    def __init__(self, message: str, frame: Any = None) -> None:
-        super().__init__(message)
-        self.frame = frame

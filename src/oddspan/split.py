@@ -84,9 +84,7 @@ def find_split_partition(g: Graph) -> SplitPartition | None:
     m = max(i for i in range(1, g.n + 1) if d[i - 1] >= i - 1)
     if sum(d[:m]) != m * (m - 1) + sum(d[m:]):
         return None
-    sp = SplitPartition(x=frozenset(order[m:]), y=tuple(sorted(order[:m])))
-    validate_partition(g, sp)
-    return sp
+    return SplitPartition(x=frozenset(order[m:]), y=tuple(sorted(order[:m])))
 
 
 def _x_degrees_odd(g: Graph, sp: SplitPartition) -> bool:
@@ -121,12 +119,12 @@ def build_y_star_forest(g: Graph, sp: SplitPartition) -> YStarForest:
     of X-neighbors, give y0 all of them and send every other x to its
     lowest adjacent center.  Otherwise all X-degrees are odd and some x
     has two centers available; assigning everyone else lowest-first and
-    then steering that x makes one star even.
+    then steering that x makes one star even.  sp must be a valid
+    partition of g; ``split_odd_spanning_tree`` has validated it.
 
     Raises:
         ConditionHolds: no even star is achievable, so no tree exists.
     """
-    validate_partition(g, sp)
     ys = set(sp.y)
     assignment: dict[int, int] = {}
     even_centers = [y for y in sorted(sp.y) if len(g.adj[y] - ys) % 2 == 0]

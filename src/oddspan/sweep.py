@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .dense_tree import odd_spanning_tree_dense
-from .errors import Disconnected, GreedyStalled, NoTreePacking, OddOrder
+from .errors import Disconnected, NoTreePacking, OddOrder
 from .families import (
     gen_complete_bipartite,
     gen_complete_bipartite_minus_edge,
@@ -236,11 +236,7 @@ def _report(title: str, checker, cases: list[Case], workers: int) -> SweepReport
 def _dense_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
-    try:
-        tree = odd_spanning_tree_dense(g)
-    except GreedyStalled:
-        return (f"greedy stalled on n={n} edges={edges}", None, None)
-    rep = verify_odd_spanning_tree(g, tree)
+    rep = verify_odd_spanning_tree(g, odd_spanning_tree_dense(g))
     if not rep.ok:
         return (f"bad dense tree on n={n} edges={edges}: {rep}", None, None)
     return (None, "tree", None)
@@ -253,7 +249,7 @@ def _dense_enough(g: Graph) -> bool:
 def sweep_dense(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Greedy tree on every dense-enough graph: small-n exhaustive plus
     a seeded slice at n in 8..12."""
-    cases = [_case(g) for n in (2, 4, 6) if n <= max_n for g in all_graphs(n) if _dense_enough(g)]
+    cases = [_case(g) for n in range(2, max_n + 1, 2) for g in all_graphs(n) if _dense_enough(g)]
     cases += _seeded(lambda i: gen_random((8, 10, 12)[i % 3], 0.85, i), _dense_enough, seeded)
     title = f"dense min-degree graphs, exhaustive n<={max_n} plus {seeded} seeded"
     return _report(title, _dense_case, cases, workers)
@@ -339,7 +335,7 @@ def sweep_trifree(seeded: int = 300, workers: int = 1, max_n: int = 6) -> SweepR
     samples at n = 8.
     """
     cases = [
-        _case(g) for n in (2, 4, 6) if n <= max_n for g in all_graphs(n) if is_triangle_free(g)
+        _case(g) for n in range(2, max_n + 1, 2) for g in all_graphs(n) if is_triangle_free(g)
     ]
     cases += [_case(g) for _, g, _ in crafted_trifree_instances()]
     cases += _seeded(lambda i: gen_random(8, 0.3, i), is_triangle_free, seeded)

@@ -15,14 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    Disconnected,
-    EmptyGraph,
-    ExhaustedCases,
-    GIsOdd,
-    NotTriangleFree,
-    OddOrder,
-)
+from .errors import Disconnected, EmptyGraph, NotTriangleFree, OddOrder
 from .graph_core import (
     EdgeSet,
     Graph,
@@ -107,18 +100,10 @@ def recognize_excluded(g: Graph) -> str | None:
 def build_case_frame(g: Graph) -> CaseFrame:
     """Anchor the even-degree case analysis.
 
-    Raises:
-        NotTriangleFree, OddOrder: input out of scope.
-        GIsOdd: every degree is odd; the other construction applies.
+    g must be triangle-free, of even order and with an even-degree
+    vertex; ``trifree_complement_tree`` checks all three first.
     """
-    if not is_triangle_free(g):
-        raise NotTriangleFree("input must be triangle-free")
-    if g.n % 2:
-        raise OddOrder(f"order {g.n} is odd")
-    evens = [v for v in range(g.n) if g.degree(v) % 2 == 0]
-    if not evens:
-        raise GIsOdd("all degrees odd; no even-degree anchor")
-    y = evens[0]
+    y = min(v for v in range(g.n) if g.degree(v) % 2 == 0)
     xs = tuple(sorted(g.adj[y]))
     ys = tuple(sorted(set(range(g.n)) - g.adj[y]))
     y_i = {x: frozenset(w for w in ys if not g.has_edge(x, w)) for x in xs}
@@ -189,28 +174,21 @@ def _theta_tree(
     x1, x2 = fr.xs
     y = fr.y
     alpha, beta, gamma = len(a_side), len(b_side), len(c_side)
+    # g is build_theta(alpha, beta, gamma) of even order, and the shapes
+    # (1, 1, 2), (1, 2, 1) and (2, 1, 1) are c5-of-2: excluded upstream
     if alpha == 1 and beta == 1:
-        if gamma < 4:
-            raise ExhaustedCases(
-                "two pendant cliques over a shared pair collapse to a known "
-                "excluded shape; nothing to build"
-            )
         a, b, c = a_side[0], b_side[0], c_side
         tree = {edge(x1, a), edge(a, c[0]), edge(a, c[2])}
         tree |= {edge(c[2], c[i]) for i in range(3, gamma)}
         tree |= {edge(b, c[2]), edge(b, c[1]), edge(x2, b)}
         return "T11", frozenset(tree)
     if alpha == 1 and gamma == 1:
-        if beta < 4:
-            raise ExhaustedCases("degenerate lopsided shape; nothing to build")
         a, b = a_side[0], b_side
         tree = {edge(x1, x2), edge(x2, b[0]), edge(x2, b[2])}
         tree |= {edge(b[2], b[j]) for j in range(3, beta)}
         tree |= {edge(y, b[2]), edge(y, b[1]), edge(a, y)}
         return "T11", frozenset(tree)
     if beta == 1 and gamma == 1:
-        if alpha < 4:
-            raise ExhaustedCases("degenerate lopsided shape; nothing to build")
         b, a = b_side[0], a_side
         tree = {edge(x1, x2), edge(x1, a[0]), edge(x1, a[2])}
         tree |= {edge(a[2], a[j]) for j in range(3, alpha)}
@@ -269,11 +247,8 @@ def _even_anchor_tree(g: Graph, fr: CaseFrame) -> tuple[str, EdgeSet]:
         tree |= {edge(yp, p), edge(yp, q)}
         tree |= {edge(p, x) for x in xs if x not in (p, q)}
         return "T3", frozenset(tree)
-    if len(ys) == 2:
-        raise ExhaustedCases(
-            "a two-vertex non-neighborhood with no doubly missed vertex is a "
-            "near-complete bipartite shape, handled by recognition"
-        )
+    # ys has more than two vertices: with two, g is K(2, |xs|) or that
+    # minus an edge, both excluded upstream
     independent = all(
         not g.has_edge(ys[i], ys[j])
         for i in range(len(ys))
@@ -288,12 +263,9 @@ def _even_anchor_tree(g: Graph, fr: CaseFrame) -> tuple[str, EdgeSet]:
             tree |= {edge(a, w) for w in ys if w not in (a, b)}
             tree |= {edge(xi, x) for x in xs if x != xi}
             return "T4", frozenset(tree)
+        # two pairs at least: with fewer, g is K(|xs|, |ys|) or that minus
+        # an edge, both sides even, so excluded upstream
         pairs = [(x, min(fr.y_i[x])) for x in xs if fr.y_i[x]]
-        if len(pairs) <= 1:
-            raise ExhaustedCases(
-                "at most one missed pair over an independent non-neighborhood "
-                "is a near-complete bipartite shape, handled by recognition"
-            )
         (xa, ya), (xb, yb) = pairs[0], pairs[1]
         if len(xs) >= 4:
             xc = min(x for x in xs if x not in (xa, xb))
@@ -306,19 +278,12 @@ def _even_anchor_tree(g: Graph, fr: CaseFrame) -> tuple[str, EdgeSet]:
         tree = {edge(xa, ya), edge(xb, yb), edge(ya, yb), edge(ya, yc)}
         tree |= {edge(yb, w) for w in ys if w not in (ya, yb, yc)}
         return "T6", frozenset(tree)
-    if len(xs) != 2:
-        raise ExhaustedCases(
-            "edges inside the non-neighborhood with more than two anchor "
-            "neighbors: open territory, no construction is catalogued"
-        )
+    # ys has an edge ab and each x misses a or b, as g is triangle-free;
+    # none is missed twice (T3), so there are two x's, one at each end
     x1, x2 = xs
     a_side = sorted(fr.y_i[x1])
     b_side = sorted(fr.y_i[x2])
     c_side = [w for w in ys if w in set(fr.yprime)]
-    if not a_side or not b_side:
-        raise ExhaustedCases(
-            "one anchor neighbor misses nothing; no construction is catalogued"
-        )
     gap = next(
         ((ya, yb) for ya in a_side for yb in b_side if not g.has_edge(ya, yb)),
         None,
@@ -345,9 +310,6 @@ def trifree_complement_tree(g: Graph) -> TrifreeDecision:
 
     Raises:
         EmptyGraph, NotTriangleFree, OddOrder: input out of scope.
-        ExhaustedCases: no catalogued branch applies (flagged, not
-            silently mis-built); not expected to fire on recognizable
-            inputs.
     """
     if g.n == 0:
         raise EmptyGraph("no spanning tree over zero vertices")

@@ -24,7 +24,6 @@ from oddspan.cli import (
 from oddspan.errors import (
     DuplicateEdge,
     EmptyGraph,
-    GreedyStalled,
     OddSpanError,
     ParseError,
     SelfLoop,
@@ -470,9 +469,7 @@ def test_sweep_failures_are_reported_and_counted(monkeypatch):
     real_dense = sweep.odd_spanning_tree_dense
 
     def broken_dense(g):
-        if g == k4:
-            raise GreedyStalled("stalled on purpose")
-        return real_dense(g)
+        return frozenset() if g == k4 else real_dense(g)
 
     monkeypatch.setattr(sweep, "split_odd_spanning_tree", broken_split)
     monkeypatch.setattr(sweep, "odd_spanning_tree_dense", broken_dense)
@@ -492,7 +489,8 @@ def test_sweep_failures_are_reported_and_counted(monkeypatch):
         "checked 3",
         "verdict tree 2",
         "disagreements 1",
-        f"greedy stalled on n=4 edges={k4_edges}",
+        f"bad dense tree on n=4 edges={k4_edges}: "
+        "VerifyReport(ok=False, failure='wrong-edge-count', vertex=None)",
     ]
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from common import complete, cycle, es
-from oddspan.dense_tree import grow_step, init_state, odd_spanning_tree_dense
+from oddspan.dense_tree import odd_spanning_tree_dense
 from oddspan.errors import EmptyGraph, MinDegreeTooLow, OddOrder
 from oddspan.families import gen_complete_bipartite, gen_random
 from oddspan.graph_core import Graph, is_connected
@@ -37,29 +37,12 @@ def test_k33_below_bound_but_tree_exists():
 
 
 def test_octahedron_init_drops_one_spoke():
-    # all degrees even: lowest max-degree vertex sheds its least neighbor
+    # all degrees even: lowest max-degree vertex sheds its least neighbor,
+    # so the star is 0-2, 0-4, 0-5, and vertex 2 then takes 1 and 3
     g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3])
-    st = init_state(g)
-    assert st.anchor == 0
-    assert st.removed_edge == (0, 1)
-    assert len(st.tree) == 3
-    assert st.inside == {0, 2, 4, 5}
     t = odd_spanning_tree_dense(g)
+    assert t == es((0, 2), (0, 4), (0, 5), (1, 2), (2, 3))
     assert verify_odd_spanning_tree(g, t).ok
-
-
-def test_grow_step_false_when_spanning():
-    g = complete(4)
-    st = init_state(g)
-    assert st.inside == {0, 1, 2, 3}
-    assert grow_step(g, st) is False
-
-
-def test_odd_anchor_takes_full_star():
-    g = complete(6)
-    st = init_state(g)
-    assert st.anchor == 0 and st.removed_edge is None
-    assert st.tree == set(es((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)))
 
 
 def test_rejects_odd_order_and_empty():

@@ -1,8 +1,11 @@
+import sys
 from itertools import combinations
 
 import pytest
 
 from common import complete, cycle, es, path
+from oddspan import split
+from oddspan.cli import decide
 from oddspan.errors import (
     BadWitness,
     ConditionHolds,
@@ -226,3 +229,29 @@ def test_random_split_graphs_are_recognized():
         sp = find_split_partition(g)
         assert sp is not None
         validate_partition(g, sp)
+    # the degree test alone stands behind the partition it returns
+    accepted = 0
+    for g in (g for n in range(7) for g in all_graphs(n)):
+        sp = find_split_partition(g)
+        if sp is not None:
+            validate_partition(g, sp)
+            accepted += 1
+    assert accepted == 10356
+
+
+def test_decide_validates_a_split_partition_once(monkeypatch):
+    calls = []
+    real = split.validate_partition
+
+    def counting(g, sp):
+        calls.append(sp)
+        return real(g, sp)
+
+    # patch every binding, as ``from .split import ...`` copies it
+    for mod in list(sys.modules.values()):
+        ours = getattr(mod, "__name__", "").startswith("oddspan")
+        if ours and getattr(mod, "validate_partition", None) is real:
+            monkeypatch.setattr(mod, "validate_partition", counting)
+    cert = decide(complete(4))
+    assert (cert.verdict, cert.method) == ("EXISTS", "split-criterion")
+    assert len(calls) == 1

@@ -4,7 +4,7 @@ import pytest
 
 from common import complete, cycle, es, path
 from oddspan import graph_core, trifree
-from oddspan.errors import EmptyGraph, GIsOdd, NotTriangleFree, OddOrder
+from oddspan.errors import EmptyGraph, NotTriangleFree, OddOrder
 from oddspan.families import gen_c5k, gen_complete_bipartite, gen_complete_bipartite_minus_edge
 from oddspan.graph_core import Graph, complement, is_connected, is_triangle_free
 from oddspan.oracle import verify_odd_spanning_tree
@@ -110,15 +110,6 @@ def test_case_frame_shape():
         assert all(not cycle(6).has_edge(x, w) for w in fr.y_i[x])
 
 
-def test_case_frame_preconditions():
-    with pytest.raises(GIsOdd):
-        build_case_frame(Graph(6, [(0, 1), (2, 3), (4, 5)]))
-    with pytest.raises(NotTriangleFree):
-        build_case_frame(complete(4))
-    with pytest.raises(OddOrder):
-        build_case_frame(gen_c5k(1))
-
-
 def test_crafted_instances_hit_expected_branches():
     for label, g, want in crafted_trifree_instances():
         decision = trifree_complement_tree(g)
@@ -175,8 +166,12 @@ def test_build_theta_shape():
 
 
 def test_small_thetas_collapse_to_excluded_family():
+    # the theta branches build from the next even shapes up, and have no
+    # exit for these three
     for shape in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
-        assert recognize_excluded(build_theta(*shape)) == C5_OF_2
+        assert recognize_excluded(build_theta(*shape)) == C5_OF_2, shape
+    for shape in ((1, 1, 4), (1, 4, 1), (4, 1, 1)):
+        assert recognize_excluded(build_theta(*shape)) is None, shape
 
 
 def test_retired_t8_frames_are_built_as_t6():
