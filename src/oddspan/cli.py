@@ -65,6 +65,7 @@ from .oracle import (
 )
 from .split import double_star_in_complement, find_split_partition, split_odd_spanning_tree
 from .sweep import UNIVERSES
+from .tree_packing import PackingOutcome, verify_packing
 from .trifree import trifree_complement_tree
 
 EXISTS = "EXISTS"
@@ -285,16 +286,20 @@ def _factor(g: Graph, strict: bool = False) -> Certificate:
     if strict and not edge_connectivity_at_least(g, 4):
         raise EdgeConnectivityTooLow(f"edge connectivity {edge_connectivity(g)} < 4")
     try:
-        trace = connected_odd_factor(g)
+        f = connected_odd_factor(g)
     except NoTreePacking as exc:
+        cert = exc.cert
+        # checked here, once, and not by an assert, as _exists checks a witness
+        if not verify_packing(g, PackingOutcome(cert=cert)):
+            raise AssertionError(f"partition certificate failed verification: {cert}")
         return Certificate(
             UNKNOWN,
             "tree-packing",
-            parts=tuple(_part(f"part{i}", vs) for i, vs in enumerate(exc.cert.parts)),
+            parts=tuple(_part(f"part{i}", vs) for i, vs in enumerate(cert.parts)),
             reason="no-tree-packing",
-            count=exc.cert.cross_edges,
+            count=cert.cross_edges,
         )
-    return _exists(g, "parity-repair-factor", trace.result, factor=True)
+    return _exists(g, "parity-repair-factor", f, factor=True)
 
 
 METHODS = {
@@ -454,7 +459,18 @@ def _cmd_info(args) -> int:
     return 0
 
 
+# past --n 7 the exhaustive part walks 2^28 edge masks or more; 10,000
+# seeded cases take at most about 30,000 draws, far inside _seeded's limit
+_SWEEP_BOUNDS = {"n": 7, "cap": 10_000}
+
+
 def _cmd_sweep(args) -> int:
+    for flag, top in _SWEEP_BOUNDS.items():
+        value = getattr(args, flag)
+        if value is not None and not 0 <= value <= top:
+            print(f"oddspan sweep: error: --{flag} must be in 0..{top}, got {value}",
+                  file=sys.stderr)
+            return EX_USAGE
     run = UNIVERSES[args.universe]
     # a universe without a seeded part ignores --cap, one without an
     # exhaustive part ignores --n; unset --cap keeps the universe's default
@@ -520,8 +536,8 @@ def _build_parser() -> _Parser:
     what = p.add_mutually_exclusive_group(required=True)
     for name in UNIVERSES:
         what.add_argument(f"--{name}", dest="universe", action="store_const", const=name)
-    p.add_argument("--n", type=int, default=6, help="exhaustive universe size cap")
-    p.add_argument("--cap", type=int, default=None, help="seeded sample size")
+    p.add_argument("--n", type=int, default=6, help="exhaustive universe size cap, 0..7")
+    p.add_argument("--cap", type=int, default=None, help="seeded sample size, 0..10000")
     p.set_defaults(func=_cmd_sweep)
     return top
 

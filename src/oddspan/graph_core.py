@@ -25,7 +25,6 @@ __all__ = [
     "is_connected",
     "bipartition",
     "tree_bipartition",
-    "tree_path",
     "tree_adjacency",
     "forest_path",
     "edge_connectivity",
@@ -230,20 +229,6 @@ def forest_path(adj, u: int, v: int) -> list[Edge]:
         x = p
     path.reverse()
     return path
-
-
-def tree_path(t: EdgeSet, n: int, u: int, v: int) -> EdgeSet:
-    """Edge set of the unique u-v path in a spanning tree.
-
-    Args:
-        t: spanning tree edges on 0..n-1.
-        n: vertex count.
-        u, v: endpoints; u == v returns the empty path.
-
-    Returns:
-        The path's edges in canonical form.
-    """
-    return frozenset(forest_path(tree_adjacency(t, n), u, v))
 
 
 def tree_adjacency(t: EdgeSet, n: int) -> list[list[int]]:

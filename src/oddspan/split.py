@@ -45,13 +45,6 @@ class SplitPartition:
     y: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class YStarForest:
-    """Spanning star forest: each independent vertex picks one center."""
-
-    assignment: dict[int, int]
-
-
 def validate_partition(g: Graph, sp: SplitPartition) -> None:
     """Raise BadWitness unless sp is a genuine split partition of g."""
     xs = set(sp.x)
@@ -112,8 +105,9 @@ def split_no_tree_condition(g: Graph, sp: SplitPartition) -> bool:
     return _x_degrees_odd(g, sp) and _neighborhoods_disjoint(g, sp)
 
 
-def build_y_star_forest(g: Graph, sp: SplitPartition) -> YStarForest:
-    """Spanning star forest with at least one even-size star.
+def build_y_star_forest(g: Graph, sp: SplitPartition) -> dict[int, int]:
+    """Spanning star forest with at least one even-size star, as the
+    center each independent vertex picks.
 
     Star size means leaf count.  If some center y0 has an even number
     of X-neighbors, give y0 all of them and send every other x to its
@@ -132,7 +126,7 @@ def build_y_star_forest(g: Graph, sp: SplitPartition) -> YStarForest:
         y0 = even_centers[0]
         for x in sorted(sp.x):
             assignment[x] = y0 if y0 in g.adj[x] else min(g.adj[x] & ys)
-        return YStarForest(assignment)
+        return assignment
     shared = [x for x in sorted(sp.x) if len(g.adj[x] & ys) >= 2]
     if not shared:
         raise ConditionHolds("all X-degrees odd with disjoint neighborhoods")
@@ -143,7 +137,7 @@ def build_y_star_forest(g: Graph, sp: SplitPartition) -> YStarForest:
             assignment[x] = min(g.adj[x] & ys)
     load = sum(1 for c in assignment.values() if c == yj)
     assignment[xstar] = yj if load % 2 == 1 else yk
-    return YStarForest(assignment)
+    return assignment
 
 
 def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
@@ -170,12 +164,12 @@ def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
     # raises ConditionHolds exactly when the nonexistence criterion holds
     forest = build_y_star_forest(g, sp)
     sizes = {y: 0 for y in sp.y}
-    for c in forest.assignment.values():
+    for c in forest.values():
         sizes[c] += 1
     ynew = [sp.y[i] for i in sorted(range(t), key=lambda i: (sizes[sp.y[i]] % 2, i))]
     ec = sum(1 for y in sp.y if sizes[y] % 2 == 0)
     assert ec >= 2 and ec % 2 == 0, "even-star count must be a positive even number"
-    edges = {edge(x, c) for x, c in forest.assignment.items()}
+    edges = {edge(x, c) for x, c in forest.items()}
     for i in range(ec - 1, t - 1):
         edges.add(edge(ynew[i], ynew[i + 1]))
     for j in range(ec - 1):

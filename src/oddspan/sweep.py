@@ -243,7 +243,8 @@ def _dense_case(case: Case) -> Outcome:
 
 
 def _dense_enough(g: Graph) -> bool:
-    return is_connected(g) and g.min_degree() >= g.n // 2 + 1
+    # connected: non-adjacent u, v have 2(n//2 + 1) > n - 2 neighbours besides u, v, so share one
+    return g.min_degree() >= g.n // 2 + 1
 
 
 def sweep_dense(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
@@ -370,10 +371,10 @@ def _factor_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
     try:
-        trace = connected_odd_factor(g)
+        factor = connected_odd_factor(g)
     except NoTreePacking:
         return (f"no tree packing on 4-edge-connected n={n} edges={edges}", None, None)
-    rep = verify_connected_odd_factor(g, trace.result)
+    rep = verify_connected_odd_factor(g, factor)
     if not rep.ok:
         return (f"bad factor on n={n} edges={edges}: {rep}", None, None)
     if g.m <= ODD_FACTOR_EDGE_CAP:

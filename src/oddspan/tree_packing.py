@@ -111,7 +111,7 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
 def _extract_certificate(g: Graph, failed: list[tuple[Edge, set[Edge]]]) -> PartitionCertificate:
     # Each failed edge's labeled set spans a vertex class that is doubly
     # spanned by both forests; overlapping classes merge, untouched
-    # vertices become singletons.
+    # vertices become singletons.  Callers re-check with verify_packing.
     n = g.n
     parent = list(range(n))
     for e0, labeled in failed:
@@ -130,13 +130,16 @@ def _extract_certificate(g: Graph, failed: list[tuple[Edge, set[Edge]]]) -> Part
     parts = tuple(
         frozenset(vs) for _, vs in sorted(groups.items(), key=lambda kv: min(kv[1]))
     )
+    return PartitionCertificate(parts=parts, cross_edges=_crossing_count(g, parts))
+
+
+def _crossing_count(g: Graph, parts: tuple[frozenset[int], ...]) -> int:
+    """Edges of g whose ends lie in different parts of a vertex partition."""
     index = {}
     for k, part in enumerate(parts):
         for v in part:
             index[v] = k
-    cross = sum(1 for u, v in g.edge_set() if index[u] != index[v])
-    assert cross < 2 * (len(parts) - 1), (cross, len(parts))
-    return PartitionCertificate(parts=parts, cross_edges=cross)
+    return sum(1 for u, v in g.edge_set() if index[u] != index[v])
 
 
 def verify_packing(g: Graph, outcome: PackingOutcome) -> bool:
@@ -156,11 +159,7 @@ def verify_packing(g: Graph, outcome: PackingOutcome) -> bool:
         seen |= part
     if seen != set(range(g.n)):
         return False
-    index = {}
-    for k, part in enumerate(cert.parts):
-        for v in part:
-            index[v] = k
-    cross = sum(1 for u, v in g.edge_set() if index[u] != index[v])
+    cross = _crossing_count(g, cert.parts)
     return cross == cert.cross_edges and cross < 2 * (len(cert.parts) - 1)
 
 

@@ -58,20 +58,6 @@ class CaseFrame:
     yprime: tuple[int, ...]
 
 
-def is_complete_bipartite(g: Graph) -> tuple[int, int] | None:
-    """Part sizes if g is a complete bipartite graph, else None.
-
-    The first size is the part containing vertex 0.
-    """
-    try:
-        bp = bipartition(g)
-    except (Disconnected, EmptyGraph):
-        return None
-    if bp is None or g.n < 2 or g.m != len(bp.left) * len(bp.right):
-        return None
-    return (len(bp.left), len(bp.right))
-
-
 def recognize_excluded(g: Graph) -> str | None:
     """Match g against the shapes whose complements have no odd tree.
 

@@ -167,18 +167,43 @@ sys.exit(cli.main(["construct", "--dense", sys.argv[1]]))
 """
 
 
-def test_wrong_witness_is_refused_under_python_optimize(tmp_path):
-    # ``python -O`` strips assert statements; both guards must survive it
+# a partition certificate that fails verification: K6 in two halves, with
+# a crossing count of 0 where there are 9
+_WRONG_PACKING_CERTIFICATE = """\
+import sys
+from oddspan import cli, odd_factor
+from oddspan.tree_packing import PackingOutcome, PartitionCertificate
+halves = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+bad = PackingOutcome(cert=PartitionCertificate(parts=halves, cross_edges=0))
+odd_factor.two_edge_disjoint_spanning_trees = lambda g: bad
+sys.exit(cli.main(["construct", "--factor", sys.argv[1]]))
+"""
+
+
+def _run_optimized(script: str, tmp_path) -> subprocess.CompletedProcess:
+    """Run script under ``python -O``, which strips assert statements, on K6."""
     graph = tmp_path / "k6.txt"
     graph.write_text(K6)
     src = str(Path(oddspan.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _WRONG_DENSE_WITNESS, str(graph)],
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script, str(graph)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_wrong_witness_is_refused_under_python_optimize(tmp_path):
+    # both guards must survive ``python -O``
+    done = _run_optimized(_WRONG_DENSE_WITNESS, tmp_path)
     assert done.returncode == 70, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("internal: constructed witness failed verification")
+
+
+def test_wrong_packing_certificate_is_refused_under_python_optimize(tmp_path):
+    done = _run_optimized(_WRONG_PACKING_CERTIFICATE, tmp_path)
+    assert done.returncode == 70, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("internal: partition certificate failed verification")
 
 
 def test_decide_matches_all_graphs_golden():
@@ -502,6 +527,30 @@ def test_sweep_worker_count_does_not_change_output(capsys, monkeypatch):
     assert one == two
 
 
+def test_sweep_refuses_n_and_cap_out_of_range(capsys):
+    # --n 8 would walk 2^28 edge masks
+    for flag, value, bound in (("--n", "-1", "0..7"), ("--n", "8", "0..7"),
+                               ("--cap", "-1", "0..10000"), ("--cap", "10001", "0..10000")):
+        assert main(["sweep", "--dense", flag, value]) == 64, (flag, value)
+        out, err = capsys.readouterr()
+        assert out == "" and f"{flag} must be in {bound}" in err
+
+
+def test_sweep_accepts_n_and_cap_at_both_ends(capsys, monkeypatch):
+    assert main(["sweep", "--dense", "--n", "0", "--cap", "0"]) == 0
+    assert "checked 0\n" in capsys.readouterr().out
+    # the highest values reach the universe, here a stand-in that records them
+    seen = []
+
+    def record(seeded, max_n):
+        seen.append((max_n, seeded))
+        return sweep.SweepReport(universe="stand-in")
+
+    monkeypatch.setitem(cli.UNIVERSES, "dense", record)
+    assert main(["sweep", "--dense", "--n", "7", "--cap", "10000"]) == 0
+    assert seen == [(7, 10000)]
+
+
 def test_workers_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("ODD_SPAN_THREADS", raising=False)
@@ -619,11 +668,12 @@ def test_check_split_nonexistence_certificates_recheck(in_process):
 
 
 def _count_verifies(monkeypatch) -> list[int]:
-    """Count witness verifications at every call site in the package,
-    the CLI's binding included, so a constructor that re-verifies shows."""
+    """Count witness and partition verifications at every call site in the
+    package, the CLI's binding included, so a constructor that re-verifies
+    shows."""
     calls = [0]
     modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "oddspan"]
-    for name in ("verify_odd_spanning_tree", "verify_connected_odd_factor"):
+    for name in ("verify_odd_spanning_tree", "verify_connected_odd_factor", "verify_packing"):
         real = getattr(cli, name)
 
         def counted(*args, _real=real):
@@ -653,11 +703,13 @@ def test_decide_verifies_each_witness_once(monkeypatch):
 
 def test_construct_verifies_each_witness_once(capsys, monkeypatch):
     calls = _count_verifies(monkeypatch)
-    for flag, text in [("--dense", K6), ("--split", K4), ("--double-star", P6),
-                       ("--trifree", K4), ("--factor", K6)]:
+    # C4 has no tree packing: its partition certificate is the one check
+    for flag, text, verdict in [("--dense", K6, "EXISTS"), ("--split", K4, "EXISTS"),
+                                ("--double-star", P6, "EXISTS"), ("--trifree", K4, "EXISTS"),
+                                ("--factor", K6, "EXISTS"), ("--factor", C4, "UNKNOWN")]:
         calls[0] = 0
         code, out = run_cli(capsys, "construct", flag, stdin=text)
-        assert code == 0 and out.startswith("EXISTS"), flag
+        assert code == cli._VERDICT_EXIT[verdict] and out.startswith(verdict), flag
         assert calls[0] == 1, flag
 
 

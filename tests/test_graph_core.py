@@ -21,7 +21,6 @@ from oddspan.graph_core import (
     is_triangle_free,
     tree_adjacency,
     tree_bipartition,
-    tree_path,
 )
 from oddspan.oracle import enumerate_spanning_trees
 from oddspan.sweep import all_graphs, circulant
@@ -145,10 +144,10 @@ def test_nonbipartite_graph_has_two_tree_bipartitions():
 
 
 def test_tree_path():
-    t = es((0, 1), (1, 2), (2, 3), (2, 4))
-    assert tree_path(t, 5, 0, 3) == es((0, 1), (1, 2), (2, 3))
-    assert tree_path(t, 5, 3, 4) == es((2, 3), (2, 4))
-    assert tree_path(t, 5, 1, 1) == frozenset()
+    adj = tree_adjacency(es((0, 1), (1, 2), (2, 3), (2, 4)), 5)
+    assert forest_path(adj, 0, 3) == [(0, 1), (1, 2), (2, 3)]
+    assert forest_path(adj, 3, 4) == [(2, 3), (2, 4)]
+    assert forest_path(adj, 1, 1) == []
 
 
 def test_tree_path_and_adjacency_reject_non_trees():
@@ -159,8 +158,6 @@ def test_tree_path_and_adjacency_reject_non_trees():
         (es((0, 1), (0, 2), (1, 2), (3, 4)), 5),  # n - 1 edges, two parts
     ):
         with pytest.raises(NotATree):
-            tree_path(t, n, 0, 1)
-        with pytest.raises(NotATree):
             tree_adjacency(t, n)
 
 
@@ -170,8 +167,7 @@ def test_tree_path_endpoint_degrees():
     adj = tree_adjacency(t, 6)  # one validated adjacency walks every path
     for u in range(6):
         for v in range(6):
-            p = tree_path(t, 6, u, v)
-            assert frozenset(forest_path(adj, u, v)) == p
+            p = frozenset(forest_path(adj, u, v))
             if u == v:
                 assert p == frozenset()
                 continue
@@ -216,6 +212,7 @@ def test_star_import_binds_every_public_name():
     exec("from oddspan.graph_core import *", names)
     assert set(graph_core.__all__) <= set(names)
     assert "forest_path" in names and "symmetric_difference" not in names
+    assert "tree_path" not in names
 
 
 def test_edge_connectivity_named():

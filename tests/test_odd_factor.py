@@ -4,60 +4,41 @@ from common import complete, cycle, es
 from oddspan import graph_core, odd_factor
 from oddspan.errors import NoTreePacking, NotATree, OddOrder
 from oddspan.families import gen_bridge_join, gen_complete, gen_complete_bipartite
-from oddspan.graph_core import degrees, is_spanning_tree
-from oddspan.odd_factor import connected_odd_factor, pair_even_vertices
+from oddspan.graph_core import degrees
+from oddspan.odd_factor import connected_odd_factor
 from oddspan.oracle import verify_connected_odd_factor
 from oddspan.sweep import circulant
-from oddspan.tree_packing import PackingOutcome
+from oddspan.tree_packing import PackingOutcome, two_edge_disjoint_spanning_trees
 
 
-def test_pair_even_vertices_all_odd_star():
-    assert pair_even_vertices(es((0, 1), (0, 2), (0, 3)), 4) == []
-
-
-def test_pair_even_vertices_path():
-    assert pair_even_vertices(es((0, 1), (1, 2), (2, 3)), 4) == [(1, 2)]
-    t6 = es((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
-    assert pair_even_vertices(t6, 6) == [(1, 2), (3, 4)]
-
-
-def test_pair_even_vertices_rejects_non_trees():
-    with pytest.raises(NotATree):
-        pair_even_vertices(es((0, 1), (1, 2), (0, 2)), 3)
-    with pytest.raises(NotATree):
-        pair_even_vertices(es((0, 1)), 4)
-
-
-def _check_trace(g, trace):
-    t1, t2 = trace.t1, trace.t2
-    assert is_spanning_tree(t1, g.n) and is_spanning_tree(t2, g.n)
-    assert not (t1 & t2)
-    assert len(trace.pairs) == len(trace.paths)
-    # repaired tree keeps every edge of the first tree
-    assert t1 <= trace.result
-    assert verify_connected_odd_factor(g, trace.result).ok
-    assert all(d % 2 == 1 for d in degrees(trace.result, g.n))
+def _check_factor(g, f):
+    t1, t2 = two_edge_disjoint_spanning_trees(g).trees
+    # the repair keeps the first tree and adds second-tree edges only
+    assert t1 <= f
+    assert f - t1 <= t2
+    assert verify_connected_odd_factor(g, f).ok
 
 
 def test_factor_k6():
     g = complete(6)
-    _check_trace(g, connected_odd_factor(g))
+    _check_factor(g, connected_odd_factor(g))
 
 
 def test_factor_k44():
     g = gen_complete_bipartite(4, 4)
-    _check_trace(g, connected_odd_factor(g))
+    _check_factor(g, connected_odd_factor(g))
 
 
 def test_factor_circulant():
     g = circulant(8, (1, 2))
-    _check_trace(g, connected_odd_factor(g))
+    _check_factor(g, connected_odd_factor(g))
 
 
 def test_second_tree_is_validated_once_for_all_pairs(monkeypatch):
-    # two even pairs; the first tree is checked by pair_even_vertices,
-    # the second once for both of its paths
+    # two even pairs, and one adjacency built, for the second tree only
     g = circulant(8, (1, 2))
+    t1, t2 = two_edge_disjoint_spanning_trees(g).trees
+    assert sum(1 for d in degrees(t1, g.n) if d % 2 == 0) == 4
     built = []
     real = graph_core._adjacency
 
@@ -66,10 +47,9 @@ def test_second_tree_is_validated_once_for_all_pairs(monkeypatch):
         return real(edges, n)
 
     monkeypatch.setattr(graph_core, "_adjacency", counting)
-    trace = connected_odd_factor(g)
-    assert len(trace.pairs) == 2
-    assert built == [trace.t1, trace.t2]
-    _check_trace(g, trace)
+    f = connected_odd_factor(g)
+    assert built == [t2]
+    _check_factor(g, f)
 
 
 def test_bad_second_tree_raises_not_a_tree(monkeypatch):
@@ -85,9 +65,7 @@ def test_bad_second_tree_raises_not_a_tree(monkeypatch):
 
 def test_factor_paths_live_in_second_tree():
     g = complete(8)
-    trace = connected_odd_factor(g)
-    for p in trace.paths:
-        assert p <= trace.t2
+    _check_factor(g, connected_odd_factor(g))
 
 
 def test_odd_order_rejected():

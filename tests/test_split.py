@@ -105,7 +105,7 @@ def test_construction_steers_through_odd_centers():
     assert not split_no_tree_condition(g, sp)
     forest = build_y_star_forest(g, sp)
     sizes = {y: 0 for y in sp.y}
-    for x, y in forest.assignment.items():
+    for x, y in forest.items():
         assert g.has_edge(x, y)
         sizes[y] += 1
     assert sum(1 for y in sp.y if sizes[y] % 2 == 0) >= 2
@@ -146,7 +146,7 @@ def test_star_forest_even_star_count_over_seeds():
             continue
         forest = build_y_star_forest(g, sp)
         sizes = {y: 0 for y in sp.y}
-        for _, y in forest.assignment.items():
+        for y in forest.values():
             sizes[y] += 1
         evens = sum(1 for y in sp.y if sizes[y] % 2 == 0)
         assert evens >= 2 and evens % 2 == 0

@@ -16,7 +16,6 @@ from oddspan.trifree import (
     K2S2T_MINUS_E,
     TWO_K2,
     build_case_frame,
-    is_complete_bipartite,
     recognize_excluded,
     trifree_complement_tree,
 )
@@ -42,14 +41,18 @@ FROZEN_TREES = {
 }
 
 
+def _is_complete_bipartite(g):
+    return recognize_excluded(g) in (COMPLETE_BIPARTITE, K2S2T)
+
+
 def test_is_complete_bipartite():
-    assert is_complete_bipartite(cycle(4)) == (2, 2)
-    assert is_complete_bipartite(path(4)) is None
-    assert is_complete_bipartite(gen_complete_bipartite(1, 5)) == (1, 5)
-    assert is_complete_bipartite(Graph(4, [(0, 1), (2, 3)])) is None
-    assert is_complete_bipartite(complete(4)) is None
-    assert is_complete_bipartite(Graph(1)) is None
-    assert is_complete_bipartite(Graph(0)) is None
+    assert _is_complete_bipartite(cycle(4))
+    assert not _is_complete_bipartite(path(4))
+    assert _is_complete_bipartite(gen_complete_bipartite(1, 5))
+    assert not _is_complete_bipartite(Graph(4, [(0, 1), (2, 3)]))
+    assert not _is_complete_bipartite(complete(4))
+    assert not _is_complete_bipartite(Graph(1))
+    assert not _is_complete_bipartite(Graph(0))
 
 
 def test_recognition_runs_one_bipartition_and_no_connectivity_test(monkeypatch):
@@ -67,9 +70,6 @@ def test_recognition_runs_one_bipartition_and_no_connectivity_test(monkeypatch):
             if ours and getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting)
     k33 = gen_complete_bipartite(3, 3)
-    assert trifree.is_complete_bipartite(k33) == (3, 3)
-    assert calls == ["bipartition"]
-    calls.clear()
     assert trifree.recognize_excluded(k33) == COMPLETE_BIPARTITE
     assert calls == ["bipartition"]
 
@@ -79,7 +79,7 @@ def test_complement_disconnects_iff_complete_bipartite():
     for n in range(1, 7):
         for g in all_graphs(n):
             if is_triangle_free(g):
-                assert is_connected(complement(g)) == (is_complete_bipartite(g) is None)
+                assert is_connected(complement(g)) != _is_complete_bipartite(g)
 
 
 def test_recognize_excluded_families():
