@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .dense_tree import odd_spanning_tree_dense
 from .errors import (
+    BadWitness,
     ConditionHolds,
     Disconnected,
     DuplicateEdge,
@@ -35,6 +36,12 @@ from .errors import (
     SelfLoop,
 )
 from .families import (
+    BIPARTITE_EVEN_PARTS,
+    BRIDGE_EVEN_SIDES,
+    EXCLUDED_FAMILY,
+    SPLIT_CONDITION,
+    NonexistenceReason,
+    check_nonexistence,
     find_nonexistence,
     gen_bridge_join,
     gen_complete,
@@ -45,6 +52,7 @@ from .families import (
     gen_random_split,
 )
 from .graph_core import (
+    Bipartition,
     EdgeSet,
     Graph,
     complement,
@@ -63,9 +71,14 @@ from .oracle import (
     verify_connected_odd_factor,
     verify_odd_spanning_tree,
 )
-from .split import double_star_in_complement, find_split_partition, split_odd_spanning_tree
+from .split import (
+    SplitPartition,
+    double_star_in_complement,
+    find_split_partition,
+    split_odd_spanning_tree,
+)
 from .sweep import UNIVERSES
-from .tree_packing import PackingOutcome, verify_packing
+from .tree_packing import PackingOutcome, PartitionCertificate, verify_packing
 from .trifree import trifree_complement_tree
 
 EXISTS = "EXISTS"
@@ -204,15 +217,79 @@ def _part(name: str, vs) -> tuple[str, tuple[int, ...]]:
     return (name, tuple(sorted(vs)))
 
 
-def _exists(g: Graph, method: str, witness: EdgeSet, factor: bool = False) -> Certificate:
+def _nonexistence_reason(cert: Certificate) -> NonexistenceReason | None:
+    """The witness of a NOT_EXISTS certificate, rebuilt for
+    ``check_nonexistence``, or None when its method carries none."""
+    parts = dict(cert.parts)
+    args = (cert.reason or "").split()[1:]
+    try:
+        if cert.method == BIPARTITE_EVEN_PARTS:
+            bp = Bipartition(frozenset(parts["left"]), frozenset(parts["right"]))
+            return NonexistenceReason(BIPARTITE_EVEN_PARTS, bp)
+        if cert.method == BRIDGE_EVEN_SIDES:
+            u, v = map(int, args)
+            return NonexistenceReason(BRIDGE_EVEN_SIDES, edge(u, v))
+        if cert.method == "split-criterion":
+            sp = SplitPartition(x=frozenset(parts["x"]), y=parts["y"])
+            return NonexistenceReason(SPLIT_CONDITION, sp)
+        if cert.method == "trifree-complement":
+            (family,) = args
+            return NonexistenceReason(EXCLUDED_FAMILY, family)
+    except KeyError as exc:
+        raise BadWitness(f"{cert.method} certificate lacks part {exc}") from None
+    except ValueError:
+        raise BadWitness(f"{cert.method} certificate has bad R arguments {args}") from None
+    return None
+
+
+def recheck(g: Graph, cert: Certificate) -> str | None:
+    """None when cert holds for g, else the text of its failure.
+
+    The certificate's own verdict and method choose its one check, so
+    this is the only place that maps a certificate to a verifier; every
+    method name maps to exactly one check.  A certificate that names no
+    known kind, or lacks a line its kind needs, raises BadWitness.
+    """
+    verdict, method = cert.verdict, cert.method
+    if verdict == EXISTS:
+        edges = cert.edges or frozenset()
+        if method == "parity-repair-factor":
+            rep = verify_connected_odd_factor(g, edges)
+        else:
+            # a double star is a tree of the input's complement
+            rep = verify_odd_spanning_tree(complement(g) if method == "double-star" else g, edges)
+        if rep.ok:
+            return None
+        return rep.failure if rep.vertex is None else f"{rep.failure} {rep.vertex}"
+    if verdict == UNKNOWN:
+        if method == "oracle-capped":
+            return None if g.n > ODD_TREE_VERTEX_CAP else "within-size-cap"
+        if method == "tree-packing":
+            parts = tuple(frozenset(vs) for _, vs in cert.parts)
+            packing = PackingOutcome(cert=PartitionCertificate(parts=parts, cross_edges=cert.count))
+            return None if verify_packing(g, packing) else "partition-rejected"
+    if verdict == NOT_EXISTS:
+        if method == "disconnected":
+            return "connected" if is_connected(g) else None
+        if method == "odd-order":
+            return None if g.n % 2 else "even-order"
+        if method == "oracle-exhaustive":
+            if g.n > ODD_TREE_VERTEX_CAP:
+                return "over-size-cap"
+            return None if find_odd_spanning_tree_bruteforce(g) is None else "tree-found"
+        reason = _nonexistence_reason(cert)
+        if reason is not None:
+            return None if check_nonexistence(g, reason) else "witness-rejected"
+    raise BadWitness(f"no check for a {verdict} {method} certificate")
+
+
+def _exists(g: Graph, method: str, witness: EdgeSet) -> Certificate:
     """The one place a witness is verified before it becomes an answer."""
-    if factor:
-        rep = verify_connected_odd_factor(g, witness)
-    else:
-        rep = verify_odd_spanning_tree(g, witness)
-    if not rep.ok:  # not an assert, so that ``python -O`` keeps the check
-        raise AssertionError(f"constructed witness failed verification: {rep}")
-    return Certificate(EXISTS, method, edges=witness, verified=True)
+    cert = Certificate(EXISTS, method, edges=witness, verified=True)
+    why = recheck(g, cert)
+    if why is not None:  # not an assert, so that ``python -O`` keeps the check
+        raise AssertionError(f"constructed witness failed verification: {why}")
+    return cert
 
 
 # Each method takes a nonempty graph and returns a Certificate, or None or
@@ -274,32 +351,36 @@ def _oracle(g: Graph) -> Certificate:
 
 
 def _double_star(g: Graph) -> Certificate:
-    # the tree lives in the complement, so a disconnected input may have one
-    tree = double_star_in_complement(g)
-    return _exists(complement(g), "double-star", tree)
+    # the tree lives in the complement, so a disconnected input may have one;
+    # recheck verifies it there
+    return _exists(g, "double-star", double_star_in_complement(g))
 
 
 def _factor(g: Graph, strict: bool = False) -> Certificate:
-    # a disconnected graph is answered as such before --strict can refuse it
+    # disconnected and odd-order graphs are answered as such before
+    # --strict can refuse them
     if not is_connected(g):
         raise Disconnected("a connected odd factor needs a connected graph")
+    if g.n % 2:
+        raise OddOrder(f"order {g.n} is odd")
     if strict and not edge_connectivity_at_least(g, 4):
         raise EdgeConnectivityTooLow(f"edge connectivity {edge_connectivity(g)} < 4")
     try:
         f = connected_odd_factor(g)
     except NoTreePacking as exc:
-        cert = exc.cert
-        # checked here, once, and not by an assert, as _exists checks a witness
-        if not verify_packing(g, PackingOutcome(cert=cert)):
-            raise AssertionError(f"partition certificate failed verification: {cert}")
-        return Certificate(
+        cert = Certificate(
             UNKNOWN,
             "tree-packing",
-            parts=tuple(_part(f"part{i}", vs) for i, vs in enumerate(cert.parts)),
+            parts=tuple(_part(f"part{i}", vs) for i, vs in enumerate(exc.cert.parts)),
             reason="no-tree-packing",
-            count=cert.cross_edges,
+            count=exc.cert.cross_edges,
         )
-    return _exists(g, "parity-repair-factor", f, factor=True)
+        # checked here, once, and not by an assert, as _exists checks a witness
+        why = recheck(g, cert)
+        if why is not None:
+            raise AssertionError(f"partition certificate failed verification: {why}")
+        return cert
+    return _exists(g, "parity-repair-factor", f)
 
 
 METHODS = {
@@ -373,9 +454,12 @@ def _workers() -> int:
     """Sweep worker count: ``ODD_SPAN_THREADS``, clamped to 1..cpu_count."""
     cpus = os.cpu_count() or 1
     raw = os.environ.get("ODD_SPAN_THREADS", "").strip()
-    if raw:
+    if not raw:
+        return cpus
+    try:
         return min(max(1, int(raw)), cpus)
-    return cpus
+    except ValueError:
+        raise ValueError(f"ODD_SPAN_THREADS must be an integer, got {raw!r}") from None
 
 
 def _emit(cert: Certificate) -> int:
@@ -424,20 +508,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args)
-    cert = parse_certificate(_read_text(args.certificate))
-    if cert.verdict != EXISTS or cert.edges is None:
-        print("FAIL no-witness-edges")
-        return 1
-    if args.factor:
-        rep = verify_connected_odd_factor(g, cert.edges)
-    else:
-        rep = verify_odd_spanning_tree(g, cert.edges)
-    if rep.ok:
-        print("OK")
-        return 0
-    where = "" if rep.vertex is None else f" {rep.vertex}"
-    print(f"FAIL {rep.failure}{where}")
-    return 1
+    why = recheck(g, parse_certificate(_read_text(args.certificate)))
+    print("OK" if why is None else f"FAIL {why}")
+    return 0 if why is None else 1
 
 
 def _cmd_complement(args) -> int:
@@ -471,10 +544,15 @@ def _cmd_sweep(args) -> int:
             print(f"oddspan sweep: error: --{flag} must be in 0..{top}, got {value}",
                   file=sys.stderr)
             return EX_USAGE
+    try:
+        workers = _workers()
+    except ValueError as exc:
+        print(f"oddspan sweep: error: {exc}", file=sys.stderr)
+        return EX_USAGE
     run = UNIVERSES[args.universe]
     # a universe without a seeded part ignores --cap, one without an
     # exhaustive part ignores --n; unset --cap keeps the universe's default
-    given = {"workers": _workers(), "max_n": args.n, "seeded": args.cap}
+    given = {"workers": workers, "max_n": args.n, "seeded": args.cap}
     accepted = inspect.signature(run).parameters
     rep = run(**{k: v for k, v in given.items() if k in accepted and v is not None})
     sys.stdout.write("\n".join(rep.lines()) + "\n")
@@ -519,9 +597,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-verify a certificate against a graph")
     p.add_argument("path", nargs="?", default="-")
     p.add_argument("--certificate", required=True)
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--tree", action="store_true")
-    kind.add_argument("--factor", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("complement", help="emit the complement graph")

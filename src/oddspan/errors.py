@@ -55,7 +55,7 @@ class SizeCap(OddSpanError):
 
 
 class BadWitness(OddSpanError):
-    """Nonexistence witness is malformed for the graph it claims to certify."""
+    """Certificate or witness is malformed for the graph it claims to certify."""
 
 
 class NoTreePacking(OddSpanError):

@@ -25,7 +25,6 @@ from .split import SplitPartition, split_no_tree_condition, validate_partition
 
 BIPARTITE_EVEN_PARTS = "bipartite-even-parts"
 BRIDGE_EVEN_SIDES = "bridge-even-sides"
-DISCONNECTED = "disconnected"
 SPLIT_CONDITION = "split-condition"
 EXCLUDED_FAMILY = "excluded-family"
 
@@ -132,8 +131,8 @@ class NonexistenceReason:
     """A reason g has no odd spanning tree, with a re-checkable witness.
 
     kind is one of the module constants; the witness shape depends on it:
-    a Bipartition, a bridge edge, a component vertex set, a
-    SplitPartition, or an excluded-family name.
+    a Bipartition, a bridge edge, a SplitPartition, or an
+    excluded-family name.
     """
 
     kind: str
@@ -160,7 +159,10 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
         return all((u in w.left) != (v in w.left) for u, v in g.edge_set())
     if r.kind == BRIDGE_EVEN_SIDES:
         w = r.witness
-        if not (isinstance(w, tuple) and len(w) == 2 and g.has_edge(*w)):
+        if not (
+            isinstance(w, tuple) and len(w) == 2
+            and all(0 <= v < g.n for v in w) and g.has_edge(*w)
+        ):
             raise BadWitness("witness is not an edge of the graph")
         if not is_connected(g):
             return False
@@ -171,13 +173,6 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
         adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
         reached = g.n - bfs_distances(adj, u).count(-1)
         return reached < g.n and reached % 2 == 0 and g.n % 2 == 0
-    if r.kind == DISCONNECTED:
-        w = r.witness
-        if not isinstance(w, frozenset) or not w or len(w) >= g.n:
-            raise BadWitness("witness must be a proper nonempty vertex subset")
-        if any(not 0 <= v < g.n for v in w):
-            raise BadWitness("witness vertex out of range")
-        return all((u in w) == (v in w) for u, v in g.edge_set())
     if r.kind == SPLIT_CONDITION:
         w = r.witness
         if not isinstance(w, SplitPartition):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -28,9 +29,8 @@ from oddspan.errors import (
     ParseError,
     SelfLoop,
 )
-from oddspan.families import SPLIT_CONDITION, NonexistenceReason, check_nonexistence, gen_random
+from oddspan.families import gen_random
 from oddspan.graph_core import Graph, complement, edge_connectivity
-from oddspan.split import SplitPartition
 from oddspan.sweep import all_graphs
 from oddspan.tree_packing import two_edge_disjoint_spanning_trees
 
@@ -402,32 +402,162 @@ def test_complement_round_trip(capsys):
     assert parse_graph(once) == Graph(4, [(0, 2), (1, 3)])
 
 
-def test_verify_subcommand(capsys, tmp_path):
+def _verify(capsys, tmp_path, graph_text: str, cert_text: str, *flags: str):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(graph_text)
     cert = tmp_path / "cert.txt"
+    cert.write_text(cert_text)
+    code = main(["verify", str(graph), "--certificate", str(cert), *flags])
+    return code, capsys.readouterr()
+
+
+def test_verify_subcommand(capsys, tmp_path):
     _, out = run_cli(capsys, "check", stdin=K4)
-    cert.write_text(out)
-    graph = tmp_path / "k4.txt"
-    graph.write_text(K4)
-    code, out = run_cli(capsys, "verify", str(graph), "--certificate", str(cert), "--tree")
-    assert code == 0 and out == "OK\n"
-    wrong = tmp_path / "c4.txt"
-    wrong.write_text(C4)
-    code, out = run_cli(capsys, "verify", str(wrong), "--certificate", str(cert))
-    assert code == 1 and out.startswith("FAIL not-subgraph")
+    code, (vout, _) = _verify(capsys, tmp_path, K4, out)
+    assert code == 0 and vout == "OK\n"
+    code, (vout, _) = _verify(capsys, tmp_path, C4, out)
+    assert code == 1 and vout.startswith("FAIL not-subgraph")
 
     _, fout = run_cli(capsys, "construct", "--factor", stdin=K6)
-    fcert = tmp_path / "fcert.txt"
-    fcert.write_text(fout)
-    k6 = tmp_path / "k6.txt"
-    k6.write_text(K6)
-    code, out = run_cli(capsys, "verify", str(k6), "--certificate", str(fcert), "--factor")
-    assert code == 0 and out == "OK\n"
-    # a NOT_EXISTS certificate carries no witness edges
-    ncert = tmp_path / "ncert.txt"
+    code, (vout, _) = _verify(capsys, tmp_path, K6, fout)
+    assert code == 0 and vout == "OK\n"
+    # a NOT_EXISTS certificate re-checks as well, against its own graph only
     _, nout = run_cli(capsys, "check", stdin=C4)
-    ncert.write_text(nout)
-    code, out = run_cli(capsys, "verify", str(wrong), "--certificate", str(ncert))
-    assert code == 1 and out == "FAIL no-witness-edges\n"
+    code, (vout, _) = _verify(capsys, tmp_path, C4, nout)
+    assert code == 0 and vout == "OK\n"
+    code, (vout, _) = _verify(capsys, tmp_path, K4, nout)
+    assert code == 1 and vout == "FAIL witness-rejected\n"
+    # the certificate's header says what it claims, so there is no flag to pick a check
+    for flag in ("--tree", "--factor"):
+        assert _verify(capsys, tmp_path, K4, out, flag)[0] == 64
+
+
+def test_verify_checks_a_double_star_in_the_complement(capsys, tmp_path):
+    _, out = run_cli(capsys, "construct", "--double-star", stdin=P6)
+    assert _verify(capsys, tmp_path, P6, out)[0] == 0
+    complement_p6 = emit_graph(complement(parse_graph(P6)))
+    code, (vout, _) = _verify(capsys, tmp_path, complement_p6, out)
+    assert code == 1 and vout.startswith("FAIL not-subgraph")
+
+
+def _seeded_graphs():
+    for n in range(7, 13):
+        for p in (0.3, 0.5, 0.7):
+            for seed in range(30):
+                yield gen_random(n, p, seed)
+
+
+def test_every_decide_answer_rechecks(capsys, tmp_path):
+    # every graph with n <= 6 plus seeded n = 7..12 reach all twelve
+    # verdict/method pairs that decide emits
+    first: dict[tuple[str, str], tuple[Graph, str]] = {}
+    for g in [*_graphs_up_to(6), *_seeded_graphs()]:
+        if g.n == 0:
+            continue
+        out = emit_certificate(decide(g))
+        cert = parse_certificate(out)
+        assert cli.recheck(g, cert) is None, out
+        first.setdefault((cert.verdict, cert.method), (g, out))
+    assert len(first) == 12
+    # one of each kind through the verify subcommand
+    for g, out in first.values():
+        assert _verify(capsys, tmp_path, emit_graph(g), out) == (0, ("OK\n", "")), out
+
+
+@pytest.mark.parametrize("method", ["split", "trifree", "dense", "double-star", "factor"])
+def test_every_construct_answer_rechecks(in_process, method):
+    answered = 0
+    for g in [*_graphs_up_to(5), *_seeded_graphs()]:
+        code, out = in_process(("construct", f"--{method}"), g)
+        if isinstance(code, str):
+            continue  # a typed error: g is outside the method's scope
+        assert cli.recheck(g, parse_certificate(out)) is None, (method, out)
+        answered += 1
+    assert answered > 0
+
+
+def _drop_t_edge(text):
+    return text.replace(next(ln for ln in text.splitlines(True) if ln.startswith("T ")), "", 1)
+
+
+def _move_p_vertex(text):
+    # the first part's last vertex moves to the next part
+    lines = text.splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.startswith("P "))
+    name, _, csv = lines[i].partition(":")
+    *rest, v = csv.split(",")
+    lines[i] = name + ":" + ",".join(rest)
+    lines[i + 1] += "," + v
+    return "\n".join(lines) + "\n"
+
+
+def _delete_p_part(text):
+    return text.replace(next(ln for ln in text.splitlines(True) if ln.startswith("P ")), "", 1)
+
+
+def _non_integer_bridge_end(text):
+    return text.replace("R bridge-even-sides 3 4", "R bridge-even-sides 3 x")
+
+
+def _swap_method(new):
+    return lambda text: text.split(" ", 1)[0] + f" {new}\n" + text.split("\n", 1)[1]
+
+
+_BRIDGE_K4_K4 = emit_graph(
+    Graph(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
+          + [(u, v) for u in range(4, 8) for v in range(u + 1, 8)] + [(3, 4)])
+)
+
+# (graph, argv that answers for it, mutation, exit code, stdout)
+_MUTATIONS = [
+    (K4, ("check",), _drop_t_edge, 1, "FAIL wrong-edge-count\n"),
+    (C4, ("check",), _move_p_vertex, 1, "FAIL witness-rejected\n"),
+    (C4, ("check",), _delete_p_part, 65, ""),
+    (C4, ("construct", "--factor"), _move_p_vertex, 1, "FAIL partition-rejected\n"),
+    (C4, ("construct", "--factor"), _delete_p_part, 1, "FAIL partition-rejected\n"),
+    (_BRIDGE_K4_K4, ("check",), _non_integer_bridge_end, 65, ""),
+    (K4, ("check",), _swap_method("double-star"), 1, "FAIL not-subgraph\n"),
+    (C4, ("check",), _swap_method("split-criterion"), 65, ""),
+    (_BRIDGE_K4_K4, ("check",), _swap_method("trifree-complement"), 65, ""),
+    (C4, ("construct", "--factor"), _swap_method("oracle-capped"), 1, "FAIL within-size-cap\n"),
+    (C4, ("check",), _swap_method("no-such-method"), 65, ""),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_MUTATIONS)))
+def test_mutated_certificate_fails_or_is_refused(capsys, tmp_path, case):
+    graph, argv, mutate, want_code, want_out = _MUTATIONS[case]
+    _, out = run_cli(capsys, *argv, stdin=graph)
+    mutated = mutate(out)
+    assert mutated != out
+    code, (vout, err) = _verify(capsys, tmp_path, graph, mutated)
+    assert (code, vout) == (want_code, want_out), mutated
+    assert err.startswith("error: ") if code == 65 else err == ""
+
+
+def test_seeded_certificate_mutations_never_end_in_a_traceback(capsys, tmp_path):
+    rng = random.Random(14)
+    mutations = [_drop_t_edge, _move_p_vertex, _delete_p_part, _swap_method]
+    methods = ["dense-min-degree", "double-star", "parity-repair-factor", "bipartite-even-parts",
+               "bridge-even-sides", "split-criterion", "trifree-complement", "oracle-exhaustive",
+               "tree-packing", "oracle-capped", "disconnected", "odd-order"]
+    codes: Counter[int] = Counter()
+    for g in _seeded_graphs():
+        for argv in (("check",), ("construct", "--factor")):
+            text = emit_graph(g)
+            _, out = run_cli(capsys, *argv, stdin=text)
+            mutate = rng.choice(mutations)
+            if mutate is _swap_method:
+                mutate = _swap_method(rng.choice(methods))
+            try:
+                mutated = mutate(out)
+            except StopIteration:
+                continue  # no line of the kind this mutation changes
+            # an error other than a typed one would propagate out of main
+            code, _ = _verify(capsys, tmp_path, text, mutated)
+            assert code in (0, 1, 65), mutated
+            codes[code] += 1
+    assert codes[1] and codes[65]
 
 
 def test_exit_codes_for_bad_input(capsys):
@@ -448,6 +578,14 @@ def test_construct_double_star_on_disconnected_input(capsys):
     # K1 plus a triangle: four vertices are too few for two centres of odd degree
     code, out = run_cli(capsys, "construct", "--double-star", stdin="4 3\n1 2\n1 3\n2 3\n")
     assert code == 65 and out == ""
+
+
+@pytest.mark.parametrize("strict", [(), ("--strict",)])
+@pytest.mark.parametrize("text", ["1 0\n", "3 3\n0 1\n1 2\n0 2\n",
+                                  emit_graph(Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]))])
+def test_construct_factor_answers_odd_order_before_strict(capsys, text, strict):
+    code, out = run_cli(capsys, "construct", "--factor", *strict, stdin=text)
+    assert code == 1 and out.startswith("NOT_EXISTS odd-order\n")
 
 
 def test_exit_codes_for_usage(capsys):
@@ -569,6 +707,13 @@ def test_workers_clamped_to_cpu_count(monkeypatch):
     assert cli._workers() == 1
 
 
+def test_sweep_refuses_a_non_integer_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("ODD_SPAN_THREADS", "abc")
+    assert main(["sweep", "--dense", "--n", "0", "--cap", "0"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "ODD_SPAN_THREADS must be an integer, got 'abc'" in err
+
+
 def test_check_odd_spanning_tree_flag_is_accepted_and_hidden(capsys):
     assert run_cli(capsys, "check", "--odd-spanning-tree", stdin=C4) == run_cli(
         capsys, "check", stdin=C4
@@ -659,10 +804,8 @@ def test_check_split_nonexistence_certificates_recheck(in_process):
         code, out = in_process(("check", "--method", "split"), g)
         if not out.startswith("NOT_EXISTS split-criterion"):
             continue
-        parts = dict(parse_certificate(out).parts)
-        sp = SplitPartition(x=frozenset(parts["x"]), y=parts["y"])
         assert code == 1
-        assert check_nonexistence(g, NonexistenceReason(SPLIT_CONDITION, sp)), out
+        assert cli.recheck(g, parse_certificate(out)) is None, out
         answered += 1
     assert answered > 0
 

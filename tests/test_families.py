@@ -6,7 +6,6 @@ from oddspan.errors import BadWitness, Disconnected, EmptyGraph, OddOrder, Parit
 from oddspan.families import (
     BIPARTITE_EVEN_PARTS,
     BRIDGE_EVEN_SIDES,
-    DISCONNECTED,
     EXCLUDED_FAMILY,
     SPLIT_CONDITION,
     NonexistenceReason,
@@ -127,14 +126,10 @@ def test_check_bridge_even_sides():
     assert not check_nonexistence(two_k2, NonexistenceReason(BRIDGE_EVEN_SIDES, (0, 1)))
     with pytest.raises(BadWitness):
         check_nonexistence(g, NonexistenceReason(BRIDGE_EVEN_SIDES, (0, 7)))
-
-
-def test_check_disconnected():
-    g = Graph(4, [(0, 1), (2, 3)])
-    assert check_nonexistence(g, NonexistenceReason(DISCONNECTED, frozenset({0, 1})))
-    assert not check_nonexistence(g, NonexistenceReason(DISCONNECTED, frozenset({0})))
-    with pytest.raises(BadWitness):
-        check_nonexistence(g, NonexistenceReason(DISCONNECTED, frozenset(range(4))))
+    # ends outside 0..n-1 are malformed too; -1 must not wrap to vertex 7
+    for bad in ((8, 0), (-1, 4)):
+        with pytest.raises(BadWitness):
+            check_nonexistence(g, NonexistenceReason(BRIDGE_EVEN_SIDES, bad))
 
 
 def test_check_split_condition():
