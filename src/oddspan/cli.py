@@ -175,6 +175,9 @@ def parse_certificate(text: str) -> Certificate:
     parts: list[tuple[str, tuple[int, ...]]] = []
     reason: str | None = None
     count: int | None = None
+    # one line per edge, part name, R and C: a repeat would show a claim
+    # that is never checked
+    seen: set[tuple[str, object]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -186,13 +189,15 @@ def parse_certificate(text: str) -> Certificate:
             header = (bits[0], bits[1])
             continue
         tag, _, rest = body.partition(" ")
+        key: object = None
         try:
             if tag == "T":
                 u, v = map(int, rest.split())
-                edges.add(edge(u, v))
+                key = edge(u, v)
+                edges.add(key)
             elif tag == "P":
-                name, _, csv = rest.partition(":")
-                parts.append((name, tuple(int(x) for x in csv.split(",") if x != "")))
+                key, _, csv = rest.partition(":")
+                parts.append((key, tuple(int(x) for x in csv.split(",") if x != "")))
             elif tag == "R":
                 reason = rest
             elif tag == "C":
@@ -201,6 +206,9 @@ def parse_certificate(text: str) -> Certificate:
                 raise ParseError(lineno, f"unknown certificate line tag {tag!r}")
         except ValueError:
             raise ParseError(lineno, f"{tag} line must be {_CERT_LINE_SHAPE[tag]}") from None
+        if (tag, key) in seen:
+            raise ParseError(lineno, f"repeated {tag} line")
+        seen.add((tag, key))
     if header is None:
         raise ParseError(1, "empty certificate")
     return Certificate(
@@ -575,8 +583,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="decide whether an odd spanning tree exists")
     p.add_argument("path", nargs="?", default="-")
-    # a no-op kept so that scripts which pass it still run
-    p.add_argument("--odd-spanning-tree", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--method", default="auto",
                    choices=["auto", *PIPELINE[1:]])
     p.set_defaults(func=_cmd_check)

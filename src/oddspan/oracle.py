@@ -8,8 +8,8 @@ are errors rather than silent truncation because an oracle must never lie.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import Disconnected, SizeCap
 from .graph_core import EdgeSet, Graph, degrees, find_root, is_connected
@@ -90,42 +90,28 @@ def _reconnectable(parent: list[int], ncomp: int, edges: list[tuple[int, int]], 
     return left == 1
 
 
-def enumerate_spanning_trees(
-    g: Graph, visit: Callable[[EdgeSet], object] | None = None
-) -> int:
-    """Visit every spanning tree of g once; return how many were visited.
+def enumerate_spanning_trees(g: Graph) -> Iterator[EdgeSet]:
+    """Iterate over every spanning tree of g once, in a fixed order.
 
     Deletion/contraction over edges in canonical order: including an edge
     contracts it (union-find), excluding it is allowed only when the
     remaining edges can still reconnect the current components (the bridge
     shortcut: bridges are never excluded).  So the chosen edges plus
     ``edges[i:]`` stay connected at every node, and the edges never run
-    out while components remain.  A callback returning False stops the
-    enumeration early; the count so far is returned.
+    out while components remain.  Raises Disconnected when called, before
+    the first tree is asked for.
 
     The recursion is exponential; callers are expected to stay at desk
     scale (soft cap n <= 10, not enforced).
     """
     if not is_connected(g):
         raise Disconnected(f"graph with {g.n} vertices is not connected")
-    n = g.n
-    if n == 1:
-        if visit is not None:
-            visit(frozenset())
-        return 1
     edges = sorted(g.edge_set())
     chosen: list[tuple[int, int]] = []
-    count = 0
-    stopped = False
 
-    def rec(i: int, parent: list[int], ncomp: int) -> None:
-        nonlocal count, stopped
-        if stopped:
-            return
+    def rec(i: int, parent: list[int], ncomp: int) -> Iterator[EdgeSet]:
         if ncomp == 1:
-            count += 1
-            if visit is not None and visit(frozenset(chosen)) is False:
-                stopped = True
+            yield frozenset(chosen)
             return
         u, v = edges[i]
         ru, rv = find_root(parent, u), find_root(parent, v)
@@ -133,16 +119,15 @@ def enumerate_spanning_trees(
             child = parent.copy()
             child[ru] = rv
             chosen.append(edges[i])
-            rec(i + 1, child, ncomp - 1)
+            yield from rec(i + 1, child, ncomp - 1)
             chosen.pop()
             if _reconnectable(parent, ncomp, edges, i + 1):
-                rec(i + 1, parent, ncomp)
+                yield from rec(i + 1, parent, ncomp)
         else:
             # Internal edge: never helps, exclusion cannot hurt feasibility.
-            rec(i + 1, parent, ncomp)
+            yield from rec(i + 1, parent, ncomp)
 
-    rec(0, list(range(n)), n)
-    return count
+    return rec(0, list(range(g.n)), g.n)
 
 
 def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:

@@ -409,27 +409,17 @@ def _bipartition_case(case: Case) -> Outcome:
     bp = bipartition(g)
     if bp is not None:
         want = bp.unordered()
-        bad: list[str] = []
-
-        def check(t):
+        for t in enumerate_spanning_trees(g):
             if tree_bipartition(t, n).unordered() != want:
-                bad.append(f"tree {sorted(t)} disagrees on n={n} edges={edges}")
-                return False
-            return None
-
-        enumerate_spanning_trees(g, check)
-        return (bad[0] if bad else None, "bipartite", None)
+                return (f"tree {sorted(t)} disagrees on n={n} edges={edges}", "bipartite", None)
+        return (None, "bipartite", None)
     seen: set[frozenset[frozenset[int]]] = set()
-
-    def collect(t):
+    for t in enumerate_spanning_trees(g):
         seen.add(tree_bipartition(t, n).unordered())
-        return False if len(seen) >= 2 else None
-
-    enumerate_spanning_trees(g, collect)
-    if len(seen) < 2:
-        failure = f"non-bipartite graph with a forced partition: n={n} edges={edges}"
-        return (failure, "non-bipartite", None)
-    return (None, "non-bipartite", None)
+        if len(seen) >= 2:
+            return (None, "non-bipartite", None)
+    failure = f"non-bipartite graph with a forced partition: n={n} edges={edges}"
+    return (failure, "non-bipartite", None)
 
 
 def _non_bipartite(g: Graph) -> bool:

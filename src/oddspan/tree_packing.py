@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import Disconnected, EmptyGraph
 from .graph_core import Edge, EdgeSet, Graph, find_root, forest_path, is_connected, is_spanning_tree
+from .oracle import enumerate_spanning_trees
 
 _ROOT = ("root", -1)
 
@@ -168,31 +169,16 @@ def exhaustive_pair_search(g: Graph) -> tuple[EdgeSet, EdgeSet] | None:
     enumerating first trees and checking the leftover edges stay
     connected.  Exponential; intended for n <= 8 cross-checks only.
     """
-    from .oracle import enumerate_spanning_trees
-
     if not is_connected(g):
         raise Disconnected("pair search expects a connected graph")
     if g.m < 2 * (g.n - 1):
         # two disjoint spanning trees need n - 1 edges each
         return None
     edges = g.edge_set()
-    result: list[tuple[EdgeSet, EdgeSet]] = []
-
-    def try_first(t1: EdgeSet) -> bool:
+    for t1 in enumerate_spanning_trees(g):
         rest = Graph(g.n, edges - t1)
-        if g.n == 1 or is_connected(rest):
+        if is_connected(rest):
             # A connected leftover contains a spanning tree disjoint
             # from t1; take any one of them.
-            t2: list[EdgeSet] = []
-
-            def grab(t: EdgeSet) -> bool:
-                t2.append(t)
-                return False
-
-            enumerate_spanning_trees(rest, grab)
-            result.append((t1, t2[0]))
-            return False
-        return True
-
-    enumerate_spanning_trees(g, try_first)
-    return result[0] if result else None
+            return t1, next(enumerate_spanning_trees(rest))
+    return None

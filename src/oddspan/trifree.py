@@ -137,14 +137,9 @@ def _all_odd_tree(g: Graph) -> tuple[str, EdgeSet]:
     xp = min(x for x in xs if x != xstar)
     tree = {edge(xstar, ystar), edge(xstar, yp)}
     tree |= {edge(xstar, x) for x in xs if x not in (xstar, xp)}
-    if not g.has_edge(xp, ystar):
-        tree.add(edge(xp, ystar))
-        tree |= {edge(0, w) for w in ys if w != yp}
-    else:
-        # xp-yp misses in g, else a triangle through ystar forms
-        assert not g.has_edge(xp, yp)
-        tree.add(edge(xp, yp))
-        tree |= {edge(0, w) for w in ys if w != ystar}
+    # xp misses ystar, else triangle-freeness makes N(xp) = {0, ystar}, an even degree
+    tree.add(edge(xp, ystar))
+    tree |= {edge(0, w) for w in ys if w != yp}
     return "T2", frozenset(tree)
 
 

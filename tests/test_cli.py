@@ -147,6 +147,17 @@ def test_parse_certificate_non_integer_field(capsys, tmp_path, line):
     assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
+@pytest.mark.parametrize(
+    "first, repeat",
+    [("T 0 1", "T 0 1"), ("T 0 1", "T 1 0"), ("P left:0", "P left:1"), ("R a", "R b"),
+     ("C 1", "C 2")],
+)
+def test_parse_certificate_refuses_a_repeated_line(first, repeat):
+    with pytest.raises(ParseError) as info:
+        parse_certificate(f"NOT_EXISTS bipartite-even-parts\n{first}\nT 2 3\n{repeat}\n")
+    assert info.value.line == 4 and f"repeated {first[0]} line" in str(info.value)
+
+
 def test_emit_refuses_unverified_exists():
     with pytest.raises(AssertionError):
         emit_certificate(Certificate("EXISTS", "dense-min-degree", edges=es((0, 1))))
@@ -232,7 +243,7 @@ def test_check_is_deterministic(capsys):
 
 
 def test_check_k4_matches_golden(capsys):
-    code, out = run_cli(capsys, "check", "--odd-spanning-tree", stdin=K4)
+    code, out = run_cli(capsys, "check", stdin=K4)
     assert code == 0
     assert out == golden("check", "k4")
 
@@ -503,6 +514,28 @@ def _swap_method(new):
     return lambda text: text.split(" ", 1)[0] + f" {new}\n" + text.split("\n", 1)[1]
 
 
+def _append_line(line):
+    return lambda text: text + line + "\n"
+
+
+def _replace_by(new):
+    return lambda text: new
+
+
+# C4's own certificate with a decoy ahead of its left part and of its R
+# line, and two C lines; before repeats were refused, verify printed OK
+_C4_REPEATS = """\
+NOT_EXISTS bipartite-even-parts
+P left:1,2
+P left:0,2
+P right:1,3
+R bipartite-even-parts 9 9
+R bipartite-even-parts 2 2
+C 5
+C 2
+"""
+
+
 _BRIDGE_K4_K4 = emit_graph(
     Graph(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
           + [(u, v) for u in range(4, 8) for v in range(u + 1, 8)] + [(3, 4)])
@@ -521,6 +554,9 @@ _MUTATIONS = [
     (_BRIDGE_K4_K4, ("check",), _swap_method("trifree-complement"), 65, ""),
     (C4, ("construct", "--factor"), _swap_method("oracle-capped"), 1, "FAIL within-size-cap\n"),
     (C4, ("check",), _swap_method("no-such-method"), 65, ""),
+    (C4, ("check",), _replace_by(_C4_REPEATS), 65, ""),
+    # the star at 3 with one edge written twice, the second time reversed
+    (K4, ("check",), _append_line("T 3 2"), 65, ""),
 ]
 
 
@@ -592,8 +628,12 @@ def test_exit_codes_for_usage(capsys):
     assert main(["gen", "--family", "complete"]) == 64
     assert main(["bogus"]) == 64
     assert main(["construct"]) == 64  # missing method flag
+    assert main(["check", "--odd-spanning-tree"]) == 64  # a retired no-op
     assert main([]) == 64
     assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert main(["check", "--help"]) == 0
+    assert "--method" in capsys.readouterr().out
 
 
 # golden name -> sweep flags; the trifree settings reach every coverage line,
@@ -712,15 +752,6 @@ def test_sweep_refuses_a_non_integer_thread_count(capsys, monkeypatch):
     assert main(["sweep", "--dense", "--n", "0", "--cap", "0"]) == 64
     out, err = capsys.readouterr()
     assert out == "" and "ODD_SPAN_THREADS must be an integer, got 'abc'" in err
-
-
-def test_check_odd_spanning_tree_flag_is_accepted_and_hidden(capsys):
-    assert run_cli(capsys, "check", "--odd-spanning-tree", stdin=C4) == run_cli(
-        capsys, "check", stdin=C4
-    )
-    code, out = run_cli(capsys, "check", "--help")
-    assert code == 0 and "--method" in out
-    assert "odd-spanning-tree" not in out
 
 
 def _pipeline(cmd: list[str], env: dict | None = None) -> subprocess.CompletedProcess:

@@ -109,6 +109,10 @@ def test_check_bipartite_even_parts():
     assert not check_nonexistence(star, r2)
     with pytest.raises(BadWitness):
         check_nonexistence(g, NonexistenceReason(BIPARTITE_EVEN_PARTS, Bipartition(frozenset({0}), frozenset({1}))))
+    with pytest.raises(BadWitness):
+        check_nonexistence(g, NonexistenceReason(BIPARTITE_EVEN_PARTS, ({0, 2}, {1, 3})))
+    # C4's even 2-colouring also colours 2K2, which is disconnected
+    assert not check_nonexistence(Graph(4, [(0, 1), (2, 3)]), r)
 
 
 def test_check_bridge_even_sides():
@@ -140,6 +144,15 @@ def test_check_split_condition():
     assert find_odd_spanning_tree_bruteforce(g) is None
     with pytest.raises(BadWitness):
         check_nonexistence(g, NonexistenceReason(SPLIT_CONDITION, "nope"))
+    # valid split partitions that prove nothing: a disconnected graph (a
+    # triangle and an isolated vertex), odd order, and a one-vertex clique (K1,3)
+    for h, x, y in [
+        (Graph(4, [(1, 2), (1, 3), (2, 3)]), {0}, (1, 2, 3)),
+        (Graph(5, [(3, 4), (0, 3), (1, 3), (2, 4)]), {0, 1, 2}, (3, 4)),
+        (Graph(4, [(0, 1), (0, 2), (0, 3)]), {1, 2, 3}, (0,)),
+    ]:
+        r = NonexistenceReason(SPLIT_CONDITION, SplitPartition(x=frozenset(x), y=y))
+        assert not check_nonexistence(h, r), h.edge_set()
 
 
 def test_check_excluded_family():
@@ -151,6 +164,8 @@ def test_check_excluded_family():
         if check_nonexistence(g, NonexistenceReason(EXCLUDED_FAMILY, family))
     ]
     assert held == ["two-k2"]
+    # the complement of the edgeless graph is K4, which has a triangle
+    assert not check_nonexistence(Graph(4), NonexistenceReason(EXCLUDED_FAMILY, "two-k2"))
     with pytest.raises(BadWitness):
         check_nonexistence(g, NonexistenceReason(EXCLUDED_FAMILY, "mystery"))
     with pytest.raises(BadWitness):

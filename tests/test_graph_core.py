@@ -131,15 +131,13 @@ def test_tree_bipartition_path(monkeypatch):
 def test_bipartite_graph_trees_share_bipartition():
     g = gen_complete_bipartite(2, 3)
     want = bipartition(g).unordered()
-    seen = []
-    enumerate_spanning_trees(g, lambda t: seen.append(tree_bipartition(t, g.n).unordered()))
+    seen = [tree_bipartition(t, g.n).unordered() for t in enumerate_spanning_trees(g)]
     assert len(seen) == 12  # 2^2 * 3^1 by the bipartite tree count
     assert all(s == want for s in seen)
 
 
 def test_nonbipartite_graph_has_two_tree_bipartitions():
-    seen = set()
-    enumerate_spanning_trees(complete(4), lambda t: seen.add(tree_bipartition(t, 4).unordered()))
+    seen = {tree_bipartition(t, 4).unordered() for t in enumerate_spanning_trees(complete(4))}
     assert len(seen) >= 2
 
 

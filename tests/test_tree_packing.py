@@ -179,9 +179,7 @@ def _unpruned_pair_search(g):
     tree is tried as the first tree, in enumeration order, until the
     leftover edges connect the graph (checked here with a union-find)."""
     edges = g.edge_set()
-    result = []
-
-    def try_first(t1):
+    for t1 in enumerate_spanning_trees(g):
         rest = edges - t1
         parent = list(range(g.n))
         comps = g.n
@@ -190,15 +188,9 @@ def _unpruned_pair_search(g):
             if ru != rv:
                 parent[ru] = rv
                 comps -= 1
-        if comps > 1:
-            return True
-        t2 = []
-        enumerate_spanning_trees(Graph(g.n, rest), lambda t: t2.append(t) or False)
-        result.append((t1, t2[0]))
-        return False
-
-    enumerate_spanning_trees(g, try_first)
-    return result[0] if result else None
+        if comps == 1:
+            return t1, next(enumerate_spanning_trees(Graph(g.n, rest)))
+    return None
 
 
 def test_packing_matches_offer_every_edge_on_small_graphs():

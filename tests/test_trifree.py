@@ -130,6 +130,16 @@ def test_crafted_trees_are_frozen():
         assert decision.tree == want, label
 
 
+@pytest.mark.parametrize("shape, want", [((1, 2, 3), "T9"), ((1, 3, 2), "T10")])
+def test_theta_trees_hung_on_the_second_attachment(shape, want):
+    # alpha = 1 is odd, so the hub is the beta side: T9 when beta is even,
+    # T10 when it is odd; the crafted instances only hang it on alpha
+    g = build_theta(*shape)
+    decision = trifree_complement_tree(g)
+    assert g.n == 8 and decision.exists and decision.tree_id == want
+    assert verify_odd_spanning_tree(complement(g), decision.tree).ok
+
+
 def test_path6_tree():
     decision = trifree_complement_tree(path(6))
     assert decision.exists and decision.tree_id == "T3"
