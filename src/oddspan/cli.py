@@ -225,6 +225,20 @@ def _part(name: str, vs) -> tuple[str, tuple[int, ...]]:
     return (name, tuple(sorted(vs)))
 
 
+def _reason_line(why: NonexistenceReason) -> str:
+    """The R line of a NOT_EXISTS certificate: the kind, then its arguments."""
+    w = why.witness
+    if why.kind == BIPARTITE_EVEN_PARTS:
+        args = (len(w.left), len(w.right))
+    elif why.kind == BRIDGE_EVEN_SIDES:
+        args = w
+    elif why.kind == EXCLUDED_FAMILY:
+        args = (w,)
+    else:  # the split condition's witness is in its P lines
+        args = ()
+    return " ".join(map(str, (why.kind, *args)))
+
+
 def _nonexistence_reason(cert: Certificate) -> NonexistenceReason | None:
     """The witness of a NOT_EXISTS certificate, rebuilt for
     ``check_nonexistence``, or None when its method carries none."""
@@ -250,6 +264,17 @@ def _nonexistence_reason(cert: Certificate) -> NonexistenceReason | None:
     return None
 
 
+# every method that answers EXISTS, as its certificate names it
+_EXISTS_METHODS = (
+    "split-criterion",
+    "trifree-complement",
+    "dense-min-degree",
+    "oracle-exhaustive",
+    "double-star",
+    "parity-repair-factor",
+)
+
+
 def recheck(g: Graph, cert: Certificate) -> str | None:
     """None when cert holds for g, else the text of its failure.
 
@@ -259,7 +284,7 @@ def recheck(g: Graph, cert: Certificate) -> str | None:
     known kind, or lacks a line its kind needs, raises BadWitness.
     """
     verdict, method = cert.verdict, cert.method
-    if verdict == EXISTS:
+    if verdict == EXISTS and method in _EXISTS_METHODS:
         edges = cert.edges or frozenset()
         if method == "parity-repair-factor":
             rep = verify_connected_odd_factor(g, edges)
@@ -285,9 +310,16 @@ def recheck(g: Graph, cert: Certificate) -> str | None:
             if g.n > ODD_TREE_VERTEX_CAP:
                 return "over-size-cap"
             return None if find_odd_spanning_tree_bruteforce(g) is None else "tree-found"
+        if method == "no-double-star":
+            # the rule is exact and polynomial, so it is rerun; odd order has no odd tree
+            found = g.n % 2 == 0 and double_star_in_complement(g) is not None
+            return "double-star-found" if found else None
         reason = _nonexistence_reason(cert)
         if reason is not None:
-            return None if check_nonexistence(g, reason) else "witness-rejected"
+            # the R line must be the one the method writes for this witness
+            said = (cert.reason or "").split()
+            held = check_nonexistence(g, reason) and said == _reason_line(reason).split()
+            return None if held else "witness-rejected"
     raise BadWitness(f"no check for a {verdict} {method} certificate")
 
 
@@ -308,13 +340,10 @@ def _parity(g: Graph) -> Certificate | None:
     why = find_nonexistence(g)
     if why is None:
         return None
-    if why.kind == "bipartite-even-parts":
-        bp = why.witness
-        parts = (_part("left", bp.left), _part("right", bp.right))
-        reason = f"{why.kind} {len(bp.left)} {len(bp.right)}"
-        return Certificate(NOT_EXISTS, why.kind, parts=parts, reason=reason)
-    u, v = why.witness
-    return Certificate(NOT_EXISTS, why.kind, reason=f"{why.kind} {u} {v}")
+    parts = ()
+    if why.kind == BIPARTITE_EVEN_PARTS:
+        parts = (_part("left", why.witness.left), _part("right", why.witness.right))
+    return Certificate(NOT_EXISTS, why.kind, parts=parts, reason=_reason_line(why))
 
 
 def _split(g: Graph) -> Certificate:
@@ -340,9 +369,8 @@ def _trifree(g: Graph) -> Certificate:
     decision = trifree_complement_tree(complement(g))
     if decision.exists:
         return _exists(g, "trifree-complement", decision.tree)
-    return Certificate(
-        NOT_EXISTS, "trifree-complement", reason=f"excluded-family {decision.family}"
-    )
+    why = NonexistenceReason(EXCLUDED_FAMILY, decision.family)
+    return Certificate(NOT_EXISTS, "trifree-complement", reason=_reason_line(why))
 
 
 def _dense(g: Graph) -> Certificate:
@@ -361,7 +389,10 @@ def _oracle(g: Graph) -> Certificate:
 def _double_star(g: Graph) -> Certificate:
     # the tree lives in the complement, so a disconnected input may have one;
     # recheck verifies it there
-    return _exists(g, "double-star", double_star_in_complement(g))
+    tree = double_star_in_complement(g)
+    if tree is None:
+        return Certificate(NOT_EXISTS, "no-double-star", reason="no-double-star")
+    return _exists(g, "double-star", tree)
 
 
 def _factor(g: Graph, strict: bool = False) -> Certificate:

@@ -93,16 +93,3 @@ class DegenerateClique(OddSpanError):
 
 class ConditionHolds(OddSpanError):
     """The split nonexistence condition holds, so no construction is possible."""
-
-
-class DiameterTooSmall(OddSpanError):
-    """Graph diameter below the bound the double-star construction requires."""
-
-    def __init__(self, diam: int, bound: int) -> None:
-        super().__init__(f"diameter {diam} below required bound {bound}")
-        self.diam = diam
-        self.bound = bound
-
-
-class NoDoubleStar(OddSpanError):
-    """The complement of a disconnected graph has no spanning odd double star."""

@@ -7,10 +7,9 @@ neighbors and those neighborhoods are pairwise disjoint.  Whenever the
 obstruction fails, a tree assembles from a star forest centered on Y
 plus a chain-and-spokes pattern inside the clique.
 
-The same machinery yields a spanning double star in the complement of
-any connected even-order graph of diameter at least four.  The complement
-of a disconnected graph gets its double star directly, from two centres
-in different components.
+A spanning odd double star in the complement of an even-order graph is
+decided exactly by one rule on pairs of far-apart centres; every
+connected graph of diameter at least four has one, as the paper shows.
 """
 
 from __future__ import annotations
@@ -21,17 +20,14 @@ from .errors import (
     BadWitness,
     ConditionHolds,
     DegenerateClique,
-    DiameterTooSmall,
     Disconnected,
     EmptyGraph,
-    NoDoubleStar,
     OddOrder,
 )
 from .graph_core import (
     EdgeSet,
     Graph,
     bfs_distances,
-    degrees,
     edge,
     is_connected,
 )
@@ -177,93 +173,42 @@ def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
     return frozenset(edges)
 
 
-def double_star_in_complement(g: Graph) -> EdgeSet:
-    """Spanning double star in the complement of g.
+def double_star_in_complement(g: Graph) -> EdgeSet | None:
+    """Spanning odd double star in the complement of g, or None if none exists.
 
-    Needs even order.  A connected g also needs diameter at least 4:
-    take the least pair (v0, v4) at distance exactly 4 and build an
-    auxiliary split graph on clique {v0, v4}: each neighbor of v0 can
-    only attach to v4 in the complement and vice versa, while vertices
-    far from both may attach to either.  The split construction then
-    returns a spanning tree with exactly two internal vertices.  A
-    disconnected g is handled by ``_cross_component_double_star``.
-
-    Raises:
-        OddOrder, EmptyGraph, DiameterTooSmall, NoDoubleStar.
-    """
-    if g.n % 2:
-        raise OddOrder(f"order {g.n} is odd")
-    if g.n == 0:
-        raise EmptyGraph("connectivity of the empty graph is undefined here")
-    # one pass: a BFS that misses a vertex means g is disconnected, and a
-    # pair at distance exactly 4 exists iff the diameter is at least 4
-    diam = 0
-    for v0 in range(g.n):
-        dist = bfs_distances(g.adj, v0)
-        if -1 in dist:
-            return _cross_component_double_star(g)
-        if 4 in dist:
-            v4 = dist.index(4)
-            break
-        diam = max(diam, *dist)
-    else:
-        raise DiameterTooSmall(diam, 4)
-    edges = {edge(v0, v4)}
-    for p in g.adj[v0]:
-        edges.add(edge(p, v4))
-    for q in g.adj[v4]:
-        edges.add(edge(q, v0))
-    near = g.adj[v0] | g.adj[v4] | {v0, v4}
-    for w in range(g.n):
-        if w not in near:
-            edges.add(edge(w, v0))
-            edges.add(edge(w, v4))
-    gprime = Graph(g.n, edges)
-    sp = SplitPartition(x=frozenset(range(g.n)) - {v0, v4}, y=(v0, v4))
-    tree = split_odd_spanning_tree(gprime, sp)
-    assert sum(1 for d in degrees(tree, g.n) if d >= 2) == 2
-    return tree
-
-
-def _cross_component_double_star(g: Graph) -> EdgeSet:
-    """Double star in the complement of a disconnected even-order g.
-
-    Centres v0 and v4 from different components are adjacent in the
-    complement and share no neighbor in g.  N(v0) must hang on v4,
-    N(v4) on v0, and every other leaf on either; each centre needs an
-    even number of leaves, at least 2, for odd degree.  Takes the least
-    pair where that split exists, giving v0 the fewest leaves it can have
-    and the lowest free ones.  A pair inside one component that admits
-    the split can trade one centre for a vertex of another component, so
-    when no cross pair works the complement has no odd double star.
+    Centres u and v must be in different components of g or at distance
+    at least 3 in it.  N(v) hangs on u, N(u) on v, and every other vertex
+    on either; each centre needs an even number of leaves, at least 2.
+    The first centre of a pair takes the fewest leaves it can, lowest ids
+    first.  A disconnected g tries its cross-component pairs (u < v) in
+    order, u first; a connected g tries its distance-4 pairs, then its
+    distance-3 pairs, each as (v, u) with u < v.  No other pair is
+    needed: every distance-4 pair admits the split, a longer shortest
+    path holds a distance-4 pair, and when g is disconnected a pair
+    inside one component that admits the split can swap a centre for a
+    vertex of another component.
 
     Raises:
-        NoDoubleStar: no cross-component pair admits the split.
+        OddOrder: a tree with odd degrees only spans even order.
     """
     n = g.n
-    comp = [-1] * n
-    for s in range(n):
-        if comp[s] < 0:
-            for w, d in enumerate(bfs_distances(g.adj, s)):
-                if d >= 0:
-                    comp[w] = s
-    for v0 in range(n):
-        for v4 in range(v0 + 1, n):
-            if comp[v0] == comp[v4]:
-                continue
-            forced0, forced4 = g.adj[v4], g.adj[v0]
-            on0 = max(len(forced0), 2)
-            on0 += on0 % 2
-            on4 = max(len(forced4), 2)
-            on4 += on4 % 2
-            if on0 + on4 > n - 2:
-                continue
-            taken = forced0 | forced4 | {v0, v4}
-            free = [w for w in range(n) if w not in taken]
-            leaves0 = forced0 | set(free[: on0 - len(forced0)])
-            edges = {edge(v0, v4)}
-            for w in range(n):
-                if w not in (v0, v4):
-                    edges.add(edge(w, v0 if w in leaves0 else v4))
-            return frozenset(edges)
-    raise NoDoubleStar(f"no spanning odd double star in the complement of this {n}-vertex graph")
+    if n % 2:
+        raise OddOrder(f"order {n} is odd")
+    dist = [bfs_distances(g.adj, s) for s in range(n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if any(-1 in d for d in dist):
+        order = [(u, v) for u, v in pairs if dist[u][v] == -1]
+    else:
+        order = [(v, u) for far in (4, 3) for u, v in pairs if dist[u][v] == far]
+    for first, second in order:
+        # each centre's least even leaf count of at least 2, forced ones included
+        need = [max(2, k + k % 2) for k in (g.degree(second), g.degree(first))]
+        if sum(need) > n - 2:
+            continue
+        taken = g.adj[first] | g.adj[second] | {first, second}
+        free = [w for w in range(n) if w not in taken]
+        on_first = g.adj[second] | set(free[: need[0] - g.degree(second)])
+        leaves = (w for w in range(n) if w not in (first, second))
+        legs = {edge(w, first if w in on_first else second) for w in leaves}
+        return frozenset(legs | {edge(first, second)})
+    return None

@@ -21,6 +21,7 @@ from oddspan.cli import (
     main,
     parse_certificate,
     parse_graph,
+    run_method,
 )
 from oddspan.errors import (
     DuplicateEdge,
@@ -30,7 +31,7 @@ from oddspan.errors import (
     SelfLoop,
 )
 from oddspan.families import gen_random
-from oddspan.graph_core import Graph, complement, edge_connectivity
+from oddspan.graph_core import Graph, complement, diameter, edge_connectivity, is_connected
 from oddspan.sweep import all_graphs
 from oddspan.tree_packing import two_edge_disjoint_spanning_trees
 
@@ -228,6 +229,23 @@ def test_decide_matches_all_graphs_golden():
             headers[out.split("\n", 1)[0]] += 1
     lines = [f"sha256 {digest.hexdigest()}"] + [f"{h} {k}" for h, k in sorted(headers.items())]
     assert "\n".join(lines) + "\n" == golden("check", "decide-all-n6")
+
+
+def test_double_star_matches_all_graphs_golden():
+    # pinned before one exact rule replaced the three constructions, on the
+    # inputs they answered: disconnected, or of diameter at least 4
+    digest = hashlib.sha256()
+    built = 0
+    for n in (2, 4, 6):
+        for g in all_graphs(n):
+            if is_connected(g) and diameter(g) < 4:
+                continue
+            cert = run_method(g, "double-star")
+            if cert.verdict == "EXISTS":
+                digest.update(emit_certificate(cert).encode())
+                built += 1
+    lines = f"sha256 {digest.hexdigest()}\nEXISTS double-star {built}\n"
+    assert lines == golden("construct", "double-star-all-n6")
 
 
 def test_check_c4_matches_golden(capsys, tmp_path):
@@ -506,8 +524,8 @@ def _delete_p_part(text):
     return text.replace(next(ln for ln in text.splitlines(True) if ln.startswith("P ")), "", 1)
 
 
-def _non_integer_bridge_end(text):
-    return text.replace("R bridge-even-sides 3 4", "R bridge-even-sides 3 x")
+def _replace_text(old, new):
+    return lambda text: text.replace(old, new)
 
 
 def _swap_method(new):
@@ -548,12 +566,20 @@ _MUTATIONS = [
     (C4, ("check",), _delete_p_part, 65, ""),
     (C4, ("construct", "--factor"), _move_p_vertex, 1, "FAIL partition-rejected\n"),
     (C4, ("construct", "--factor"), _delete_p_part, 1, "FAIL partition-rejected\n"),
-    (_BRIDGE_K4_K4, ("check",), _non_integer_bridge_end, 65, ""),
+    (_BRIDGE_K4_K4, ("check",), _replace_text("sides 3 4", "sides 3 x"), 65, ""),
+    # R words that no check read: the kind word, and the part sizes
+    (_BRIDGE_K4_K4, ("check",), _replace_text("R bridge-even-sides", "R nonsense"), 1,
+     "FAIL witness-rejected\n"),
+    (C4, ("check",), _replace_text("R bipartite-even-parts 2 2", "R bipartite-even-parts 7 9"),
+     1, "FAIL witness-rejected\n"),
     (K4, ("check",), _swap_method("double-star"), 1, "FAIL not-subgraph\n"),
     (C4, ("check",), _swap_method("split-criterion"), 65, ""),
     (_BRIDGE_K4_K4, ("check",), _swap_method("trifree-complement"), 65, ""),
     (C4, ("construct", "--factor"), _swap_method("oracle-capped"), 1, "FAIL within-size-cap\n"),
     (C4, ("check",), _swap_method("no-such-method"), 65, ""),
+    (K4, ("check",), _swap_method("no-such-method"), 65, ""),
+    # the complement of a path on six vertices has a spanning odd double star
+    (P6, ("check",), _swap_method("no-double-star"), 1, "FAIL double-star-found\n"),
     (C4, ("check",), _replace_by(_C4_REPEATS), 65, ""),
     # the star at 3 with one edge written twice, the second time reversed
     (K4, ("check",), _append_line("T 3 2"), 65, ""),
@@ -576,7 +602,7 @@ def test_seeded_certificate_mutations_never_end_in_a_traceback(capsys, tmp_path)
     mutations = [_drop_t_edge, _move_p_vertex, _delete_p_part, _swap_method]
     methods = ["dense-min-degree", "double-star", "parity-repair-factor", "bipartite-even-parts",
                "bridge-even-sides", "split-criterion", "trifree-complement", "oracle-exhaustive",
-               "tree-packing", "oracle-capped", "disconnected", "odd-order"]
+               "tree-packing", "oracle-capped", "disconnected", "odd-order", "no-double-star"]
     codes: Counter[int] = Counter()
     for g in _seeded_graphs():
         for argv in (("check",), ("construct", "--factor")):
@@ -602,7 +628,6 @@ def test_exit_codes_for_bad_input(capsys):
     assert run_cli(capsys, "check", stdin="x\n")[0] == 65
     assert run_cli(capsys, "check", stdin="0 0\n")[0] == 65
     assert run_cli(capsys, "construct", "--dense", stdin="4 3\n0 1\n0 2\n0 3\n")[0] == 65
-    assert run_cli(capsys, "construct", "--double-star", stdin=K4)[0] == 65
     assert run_cli(capsys, "check", "/nonexistent/file.txt")[0] == 65
 
 
@@ -613,7 +638,16 @@ def test_construct_double_star_on_disconnected_input(capsys):
     assert out == "EXISTS double-star\nT 0 2\nT 0 3\nT 0 4\nT 1 2\nT 2 5\n"
     # K1 plus a triangle: four vertices are too few for two centres of odd degree
     code, out = run_cli(capsys, "construct", "--double-star", stdin="4 3\n1 2\n1 3\n2 3\n")
-    assert code == 65 and out == ""
+    assert (code, out) == (1, "NOT_EXISTS no-double-star\nR no-double-star\n")
+
+
+def test_construct_double_star_below_diameter_four(capsys):
+    code, out = run_cli(capsys, "construct", "--double-star", stdin=K4)
+    assert (code, out) == (1, "NOT_EXISTS no-double-star\nR no-double-star\n")
+    # C6 has diameter 3; its centres 0 and 3 are opposite each other
+    code, out = run_cli(capsys, "construct", "--double-star", stdin=emit_graph(cycle(6)))
+    assert code == 0
+    assert out == "EXISTS double-star\nT 0 2\nT 0 3\nT 0 4\nT 1 3\nT 3 5\n"
 
 
 @pytest.mark.parametrize("strict", [(), ("--strict",)])
