@@ -21,13 +21,11 @@ from typing import NamedTuple
 from .dense_tree import odd_spanning_tree_dense
 from .errors import (
     BadWitness,
-    ConditionHolds,
     Disconnected,
     DuplicateEdge,
     EdgeConnectivityTooLow,
     EmptyGraph,
     MinDegreeTooLow,
-    NoTreePacking,
     NotSplit,
     NotTriangleFree,
     OddOrder,
@@ -199,7 +197,7 @@ def parse_certificate(text: str) -> Certificate:
                 key, _, csv = rest.partition(":")
                 parts.append((key, tuple(int(x) for x in csv.split(",") if x != "")))
             elif tag == "R":
-                reason = rest
+                reason = " ".join(rest.split())
             elif tag == "C":
                 count = int(rest)
             else:
@@ -225,18 +223,37 @@ def _part(name: str, vs) -> tuple[str, tuple[int, ...]]:
     return (name, tuple(sorted(vs)))
 
 
-def _reason_line(why: NonexistenceReason) -> str:
-    """The R line of a NOT_EXISTS certificate: the kind, then its arguments."""
-    w = why.witness
+# Certificate writers: every method builds its answer through one of
+# these, and ``recheck`` rebuilds the answer it reads through the same one.
+
+
+def _plain(g: Graph, verdict: str, method: str) -> Certificate:
+    """A certificate whose only line past its header is its R line."""
+    reason = {"odd-order": f"odd-order {g.n}", "oracle-capped": f"size-cap {ODD_TREE_VERTEX_CAP}"}
+    return Certificate(verdict, method, reason=reason.get(method, method))
+
+
+def _refuted(method: str, why: NonexistenceReason) -> Certificate:
+    """A NOT_EXISTS certificate whose witness ``check_nonexistence`` reads:
+    its P parts, and an R line of the kind, then its arguments."""
+    w, parts, args = why.witness, (), ()
     if why.kind == BIPARTITE_EVEN_PARTS:
+        parts = (_part("left", w.left), _part("right", w.right))
         args = (len(w.left), len(w.right))
     elif why.kind == BRIDGE_EVEN_SIDES:
         args = w
     elif why.kind == EXCLUDED_FAMILY:
         args = (w,)
-    else:  # the split condition's witness is in its P lines
-        args = ()
-    return " ".join(map(str, (why.kind, *args)))
+    else:  # the split condition's witness is all in its P lines
+        parts = (_part("x", w.x), _part("y", w.y))
+    reason = " ".join(map(str, (why.kind, *args)))
+    return Certificate(NOT_EXISTS, method, parts=parts, reason=reason)
+
+
+def _no_packing(pc: PartitionCertificate) -> Certificate:
+    parts = tuple(_part(f"part{i}", vs) for i, vs in enumerate(pc.parts))
+    return Certificate(UNKNOWN, "tree-packing", parts=parts, reason="no-tree-packing",
+                       count=pc.cross_edges)
 
 
 def _nonexistence_reason(cert: Certificate) -> NonexistenceReason | None:
@@ -280,56 +297,66 @@ def recheck(g: Graph, cert: Certificate) -> str | None:
 
     The certificate's own verdict and method choose its one check, so
     this is the only place that maps a certificate to a verifier; every
-    method name maps to exactly one check.  A certificate that names no
-    known kind, or lacks a line its kind needs, raises BadWitness.
+    method name maps to exactly one check.  Past that check, every line
+    must be one that the method writes for this witness: any other R
+    line, or a line of a tag or part name the method never writes, is
+    ``witness-rejected``.  A certificate that names no known kind, or
+    lacks a line its kind needs, raises BadWitness.
     """
     verdict, method = cert.verdict, cert.method
+    written = None  # as ``_plain`` writes it, unless the branch rebuilds it
     if verdict == EXISTS and method in _EXISTS_METHODS:
+        written = Certificate(EXISTS, method, edges=cert.edges)
         edges = cert.edges or frozenset()
         if method == "parity-repair-factor":
             rep = verify_connected_odd_factor(g, edges)
         else:
             # a double star is a tree of the input's complement
             rep = verify_odd_spanning_tree(complement(g) if method == "double-star" else g, edges)
-        if rep.ok:
-            return None
-        return rep.failure if rep.vertex is None else f"{rep.failure} {rep.vertex}"
-    if verdict == UNKNOWN:
-        if method == "oracle-capped":
-            return None if g.n > ODD_TREE_VERTEX_CAP else "within-size-cap"
-        if method == "tree-packing":
-            parts = tuple(frozenset(vs) for _, vs in cert.parts)
-            packing = PackingOutcome(cert=PartitionCertificate(parts=parts, cross_edges=cert.count))
-            return None if verify_packing(g, packing) else "partition-rejected"
-    if verdict == NOT_EXISTS:
-        if method == "disconnected":
-            return "connected" if is_connected(g) else None
-        if method == "odd-order":
-            return None if g.n % 2 else "even-order"
-        if method == "oracle-exhaustive":
-            if g.n > ODD_TREE_VERTEX_CAP:
-                return "over-size-cap"
-            return None if find_odd_spanning_tree_bruteforce(g) is None else "tree-found"
-        if method == "no-double-star":
-            # the rule is exact and polynomial, so it is rerun; odd order has no odd tree
-            found = g.n % 2 == 0 and double_star_in_complement(g) is not None
-            return "double-star-found" if found else None
-        reason = _nonexistence_reason(cert)
-        if reason is not None:
-            # the R line must be the one the method writes for this witness
-            said = (cert.reason or "").split()
-            held = check_nonexistence(g, reason) and said == _reason_line(reason).split()
-            return None if held else "witness-rejected"
-    raise BadWitness(f"no check for a {verdict} {method} certificate")
+        failure = rep.failure if rep.vertex is None else f"{rep.failure} {rep.vertex}"
+    elif (verdict, method) == (UNKNOWN, "oracle-capped"):
+        failure = None if g.n > ODD_TREE_VERTEX_CAP else "within-size-cap"
+    elif (verdict, method) == (UNKNOWN, "tree-packing"):
+        pc = PartitionCertificate(tuple(frozenset(vs) for _, vs in cert.parts), cert.count)
+        written = _no_packing(pc)
+        failure = None if verify_packing(g, PackingOutcome(cert=pc)) else "partition-rejected"
+    elif (verdict, method) == (NOT_EXISTS, "disconnected"):
+        failure = "connected" if is_connected(g) else None
+    elif (verdict, method) == (NOT_EXISTS, "odd-order"):
+        failure = None if g.n % 2 else "even-order"
+    elif (verdict, method) == (NOT_EXISTS, "oracle-exhaustive"):
+        if g.n > ODD_TREE_VERTEX_CAP:
+            failure = "over-size-cap"
+        else:
+            failure = None if find_odd_spanning_tree_bruteforce(g) is None else "tree-found"
+    elif (verdict, method) == (NOT_EXISTS, "no-double-star"):
+        # the rule is exact and polynomial, so it is rerun; odd order has no odd tree
+        found = g.n % 2 == 0 and double_star_in_complement(g) is not None
+        failure = "double-star-found" if found else None
+    else:
+        reason = _nonexistence_reason(cert) if verdict == NOT_EXISTS else None
+        if reason is None:
+            raise BadWitness(f"no check for a {verdict} {method} certificate")
+        written = _refuted(method, reason)
+        failure = None if check_nonexistence(g, reason) else "witness-rejected"
+    # a certificate built here holds nothing else; one read back may
+    if failure is None and not cert.verified and cert != (written or _plain(g, verdict, method)):
+        return "witness-rejected"
+    return failure
+
+
+def _checked(g: Graph, cert: Certificate, what: str) -> Certificate:
+    """cert, once it rechecks; not an assert, so that ``python -O`` keeps the check."""
+    why = recheck(g, cert)
+    if why is not None:
+        raise AssertionError(f"{what} failed verification: {why}")
+    return cert
 
 
 def _exists(g: Graph, method: str, witness: EdgeSet) -> Certificate:
     """The one place a witness is verified before it becomes an answer."""
-    cert = Certificate(EXISTS, method, edges=witness, verified=True)
-    why = recheck(g, cert)
-    if why is not None:  # not an assert, so that ``python -O`` keeps the check
-        raise AssertionError(f"constructed witness failed verification: {why}")
-    return cert
+    return _checked(g, Certificate(EXISTS, method, edges=witness, verified=True),
+                    "constructed witness")
 
 
 # Each method takes a nonempty graph and returns a Certificate, or None or
@@ -338,27 +365,16 @@ def _exists(g: Graph, method: str, witness: EdgeSet) -> Certificate:
 
 def _parity(g: Graph) -> Certificate | None:
     why = find_nonexistence(g)
-    if why is None:
-        return None
-    parts = ()
-    if why.kind == BIPARTITE_EVEN_PARTS:
-        parts = (_part("left", why.witness.left), _part("right", why.witness.right))
-    return Certificate(NOT_EXISTS, why.kind, parts=parts, reason=_reason_line(why))
+    return None if why is None else _refuted(why.kind, why)
 
 
 def _split(g: Graph) -> Certificate:
     sp = find_split_partition(g)
     if sp is None:
         raise NotSplit("input is not a split graph")
-    try:
-        tree = split_odd_spanning_tree(g, sp)
-    except ConditionHolds:
-        return Certificate(
-            NOT_EXISTS,
-            "split-criterion",
-            parts=(_part("x", sp.x), _part("y", sp.y)),
-            reason="split-condition",
-        )
+    tree = split_odd_spanning_tree(g, sp)
+    if tree is None:
+        return _refuted("split-criterion", NonexistenceReason(SPLIT_CONDITION, sp))
     return _exists(g, "split-criterion", tree)
 
 
@@ -369,8 +385,7 @@ def _trifree(g: Graph) -> Certificate:
     decision = trifree_complement_tree(complement(g))
     if decision.exists:
         return _exists(g, "trifree-complement", decision.tree)
-    why = NonexistenceReason(EXCLUDED_FAMILY, decision.family)
-    return Certificate(NOT_EXISTS, "trifree-complement", reason=_reason_line(why))
+    return _refuted("trifree-complement", NonexistenceReason(EXCLUDED_FAMILY, decision.family))
 
 
 def _dense(g: Graph) -> Certificate:
@@ -379,10 +394,10 @@ def _dense(g: Graph) -> Certificate:
 
 def _oracle(g: Graph) -> Certificate:
     if g.n > ODD_TREE_VERTEX_CAP:
-        return Certificate(UNKNOWN, "oracle-capped", reason=f"size-cap {ODD_TREE_VERTEX_CAP}")
+        return _plain(g, UNKNOWN, "oracle-capped")
     tree = find_odd_spanning_tree_bruteforce(g)
     if tree is None:
-        return Certificate(NOT_EXISTS, "oracle-exhaustive", reason="oracle-exhaustive")
+        return _plain(g, NOT_EXISTS, "oracle-exhaustive")
     return _exists(g, "oracle-exhaustive", tree)
 
 
@@ -391,7 +406,7 @@ def _double_star(g: Graph) -> Certificate:
     # recheck verifies it there
     tree = double_star_in_complement(g)
     if tree is None:
-        return Certificate(NOT_EXISTS, "no-double-star", reason="no-double-star")
+        return _plain(g, NOT_EXISTS, "no-double-star")
     return _exists(g, "double-star", tree)
 
 
@@ -404,21 +419,9 @@ def _factor(g: Graph, strict: bool = False) -> Certificate:
         raise OddOrder(f"order {g.n} is odd")
     if strict and not edge_connectivity_at_least(g, 4):
         raise EdgeConnectivityTooLow(f"edge connectivity {edge_connectivity(g)} < 4")
-    try:
-        f = connected_odd_factor(g)
-    except NoTreePacking as exc:
-        cert = Certificate(
-            UNKNOWN,
-            "tree-packing",
-            parts=tuple(_part(f"part{i}", vs) for i, vs in enumerate(exc.cert.parts)),
-            reason="no-tree-packing",
-            count=exc.cert.cross_edges,
-        )
-        # checked here, once, and not by an assert, as _exists checks a witness
-        why = recheck(g, cert)
-        if why is not None:
-            raise AssertionError(f"partition certificate failed verification: {why}")
-        return cert
+    f = connected_odd_factor(g)
+    if isinstance(f, PartitionCertificate):
+        return _checked(g, _no_packing(f), "partition certificate")
     return _exists(g, "parity-repair-factor", f)
 
 
@@ -456,9 +459,9 @@ def run_method(g: Graph, *names: str, **options) -> Certificate:
                 return cert
         return METHODS[names[-1]](g, **options)
     except Disconnected:
-        return Certificate(NOT_EXISTS, "disconnected", reason="disconnected")
+        return _plain(g, NOT_EXISTS, "disconnected")
     except OddOrder:
-        return Certificate(NOT_EXISTS, "odd-order", reason=f"odd-order {g.n}")
+        return _plain(g, NOT_EXISTS, "odd-order")
 
 
 def decide(g: Graph) -> Certificate:

@@ -1,13 +1,12 @@
 """Exception types shared across the package.
 
 Every failure mode callers are expected to branch on gets its own class;
-errors that carry evidence (a certificate) keep it on the instance so
-tooling can inspect it.
+errors that carry data (a line number, a degree bound) keep it on the
+instance so tooling can inspect it.  A refutation is not an error: the
+procedure that finds one returns it.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 
 class OddSpanError(Exception):
@@ -58,14 +57,6 @@ class BadWitness(OddSpanError):
     """Certificate or witness is malformed for the graph it claims to certify."""
 
 
-class NoTreePacking(OddSpanError):
-    """Two edge-disjoint spanning trees do not exist; carries the partition certificate."""
-
-    def __init__(self, cert: Any) -> None:
-        super().__init__("no two edge-disjoint spanning trees; see certificate")
-        self.cert = cert
-
-
 class MinDegreeTooLow(OddSpanError):
     """Minimum degree below the bound the dense construction requires."""
 
@@ -85,11 +76,3 @@ class NotSplit(OddSpanError):
 
 class EdgeConnectivityTooLow(OddSpanError):
     """Edge connectivity below the bound a construction was asked to require."""
-
-
-class DegenerateClique(OddSpanError):
-    """Split partition has a single clique vertex; the criterion needs two."""
-
-
-class ConditionHolds(OddSpanError):
-    """The split nonexistence condition holds, so no construction is possible."""

@@ -178,7 +178,7 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
         if not isinstance(w, SplitPartition):
             raise BadWitness("expected a SplitPartition witness")
         validate_partition(g, w)
-        if not is_connected(g) or len(w.y) < 2 or g.n % 2:
+        if not is_connected(g) or g.n % 2:
             return False
         return split_no_tree_condition(g, w)
     if r.kind == EXCLUDED_FAMILY:

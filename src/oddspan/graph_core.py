@@ -274,26 +274,43 @@ def _max_flow_unit(g: Graph, s: int, t: int, bound: int | None = None) -> int:
     return flow
 
 
+def _flow_sinks(g: Graph) -> list[int]:
+    """The members other than 0 of a dominating set that contains vertex 0,
+    picked greedily in vertex order.
+
+    If λ < δ, each side of a minimum cut has a vertex with no neighbour
+    across it (Matula 1987), so a dominating set meets both sides, and
+    the unit flows from vertex 0 to these sinks find a cut of λ edges.
+    """
+    covered = {0, *g.adj[0]}
+    sinks = []
+    for v in range(1, g.n):
+        if v not in covered:
+            sinks.append(v)
+            covered |= g.adj[v]
+    return sinks
+
+
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose removal disconnects g.
 
-    Computed as the minimum over n-1 unit-capacity max-flows from vertex 0.
+    λ never exceeds the minimum degree δ, so each unit flow to a
+    ``_flow_sinks`` member stops at δ, and λ = δ when there is none.
     Disconnected input returns 0.
     """
     if g.n < 2:
         raise EmptyGraph("edge connectivity needs at least two vertices")
-    if not is_connected(g):
-        return 0
-    return min(_max_flow_unit(g, 0, t) for t in range(1, g.n))
+    delta = g.min_degree()
+    return min((_max_flow_unit(g, 0, t, delta) for t in _flow_sinks(g)), default=delta)
 
 
 def edge_connectivity_at_least(g: Graph, k: int) -> bool:
     """``edge_connectivity(g) >= k`` without computing the exact value.
 
     Edge connectivity never exceeds the minimum degree, so a vertex of
-    degree below k answers at once.  Otherwise each unit flow from vertex
-    0 stops after k augmenting paths, and the first sink reached by fewer
-    answers False; a sink outside vertex 0's component is reached by none.
+    degree below k answers at once.  Otherwise λ < k would mean λ < δ, so
+    each unit flow to a ``_flow_sinks`` member stops after k augmenting
+    paths, and the first sink reached by fewer answers False.
     """
     if g.n < 2:
         raise EmptyGraph("edge connectivity needs at least two vertices")
@@ -301,7 +318,7 @@ def edge_connectivity_at_least(g: Graph, k: int) -> bool:
         return True
     if g.min_degree() < k:
         return False
-    return all(_max_flow_unit(g, 0, t, k) == k for t in range(1, g.n))
+    return all(_max_flow_unit(g, 0, t, k) == k for t in _flow_sinks(g))
 
 
 def bfs_distances(adj, s: int) -> list[int]:

@@ -6,17 +6,19 @@ vertices.  Symmetric differences flip degree parity exactly at the path
 endpoints, and the repaired factor still contains the first tree, so
 connectivity is inherited.  The factor is returned unchecked; the CLI
 and the sweep verify it with ``oracle.verify_connected_odd_factor``.
+Without a packing the answer is the packing's partition certificate.
 """
 
 from __future__ import annotations
 
-from .errors import NoTreePacking, OddOrder
+from .errors import OddOrder
 from .graph_core import EdgeSet, Graph, degrees, forest_path, tree_adjacency
-from .tree_packing import two_edge_disjoint_spanning_trees
+from .tree_packing import PartitionCertificate, two_edge_disjoint_spanning_trees
 
 
-def connected_odd_factor(g: Graph) -> EdgeSet:
-    """A connected odd factor of g, built by parity repair.
+def connected_odd_factor(g: Graph) -> EdgeSet | PartitionCertificate:
+    """A connected odd factor of g, built by parity repair, or the
+    partition certificate that refutes a two-tree packing.
 
     Requires even order and a two-tree packing; 4-edge-connectivity is a
     sufficient condition callers may check separately.  The first tree's
@@ -26,14 +28,13 @@ def connected_odd_factor(g: Graph) -> EdgeSet:
 
     Raises:
         OddOrder: no odd graph of odd order exists.
-        NoTreePacking: carries the partition certificate.
         NotATree: the packing's second tree is not a spanning tree.
     """
     if g.n % 2:
         raise OddOrder(f"order {g.n} is odd")
     outcome = two_edge_disjoint_spanning_trees(g)
     if outcome.trees is None:
-        raise NoTreePacking(outcome.cert)
+        return outcome.cert
     t1, t2 = outcome.trees
     evens = [v for v, d in enumerate(degrees(t1, g.n)) if d % 2 == 0]
     adj2 = tree_adjacency(t2, g.n)  # validated once for every pair's path

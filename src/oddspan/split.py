@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BadWitness,
-    ConditionHolds,
-    DegenerateClique,
-    Disconnected,
-    EmptyGraph,
-    OddOrder,
-)
+from .errors import BadWitness, Disconnected, EmptyGraph, OddOrder
 from .graph_core import (
     EdgeSet,
     Graph,
@@ -87,33 +80,30 @@ def _neighborhoods_disjoint(g: Graph, sp: SplitPartition) -> bool:
 
 
 def split_no_tree_condition(g: Graph, sp: SplitPartition) -> bool:
-    """True iff g has no odd spanning tree (even order, |Y| >= 2).
+    """True iff the connected even-order g has no odd spanning tree.
+
+    A single clique vertex makes g a star, its own odd spanning tree.
 
     Raises:
-        DegenerateClique: |Y| = 1; the graph is a star, handled apart.
         OddOrder: the criterion only characterizes even order.
     """
     validate_partition(g, sp)
-    if len(sp.y) == 1:
-        raise DegenerateClique("singleton clique side")
     if g.n % 2:
         raise OddOrder(f"order {g.n} is odd")
-    return _x_degrees_odd(g, sp) and _neighborhoods_disjoint(g, sp)
+    return len(sp.y) >= 2 and _x_degrees_odd(g, sp) and _neighborhoods_disjoint(g, sp)
 
 
-def build_y_star_forest(g: Graph, sp: SplitPartition) -> dict[int, int]:
+def build_y_star_forest(g: Graph, sp: SplitPartition) -> dict[int, int] | None:
     """Spanning star forest with at least one even-size star, as the
-    center each independent vertex picks.
+    center each independent vertex picks; None when there is none.
 
     Star size means leaf count.  If some center y0 has an even number
     of X-neighbors, give y0 all of them and send every other x to its
     lowest adjacent center.  Otherwise all X-degrees are odd and some x
     has two centers available; assigning everyone else lowest-first and
-    then steering that x makes one star even.  sp must be a valid
-    partition of g; ``split_odd_spanning_tree`` has validated it.
-
-    Raises:
-        ConditionHolds: no even star is achievable, so no tree exists.
+    then steering that x makes one star even.  With no such x the
+    nonexistence criterion holds.  sp must be a valid partition of g;
+    ``split_odd_spanning_tree`` has validated it.
     """
     ys = set(sp.y)
     assignment: dict[int, int] = {}
@@ -125,7 +115,7 @@ def build_y_star_forest(g: Graph, sp: SplitPartition) -> dict[int, int]:
         return assignment
     shared = [x for x in sorted(sp.x) if len(g.adj[x] & ys) >= 2]
     if not shared:
-        raise ConditionHolds("all X-degrees odd with disjoint neighborhoods")
+        return None
     xstar = shared[0]
     yj, yk = sorted(g.adj[xstar] & ys)[:2]
     for x in sorted(sp.x):
@@ -136,8 +126,9 @@ def build_y_star_forest(g: Graph, sp: SplitPartition) -> dict[int, int]:
     return assignment
 
 
-def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
-    """Odd spanning tree of a connected split graph of even order.
+def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet | None:
+    """Odd spanning tree of a connected split graph of even order, or
+    None exactly when the nonexistence criterion holds.
 
     Reorders the clique so even stars come first, then connects the
     star forest with a chain through the odd stars and spokes from the
@@ -145,7 +136,7 @@ def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
     means g is a star, which is its own odd spanning tree.
 
     Raises:
-        OddOrder, ConditionHolds, Disconnected, EmptyGraph.
+        OddOrder, Disconnected, EmptyGraph.
     """
     validate_partition(g, sp)
     if g.n == 0:
@@ -157,8 +148,9 @@ def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet:
     t = len(sp.y)
     if t == 1:
         return g.edge_set()
-    # raises ConditionHolds exactly when the nonexistence criterion holds
     forest = build_y_star_forest(g, sp)
+    if forest is None:
+        return None
     sizes = {y: 0 for y in sp.y}
     for c in forest.values():
         sizes[c] += 1

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .dense_tree import odd_spanning_tree_dense
-from .errors import Disconnected, NoTreePacking, OddOrder
+from .errors import Disconnected, OddOrder
 from .families import (
     gen_complete_bipartite,
     gen_complete_bipartite_minus_edge,
@@ -44,7 +44,12 @@ from .oracle import (
     verify_odd_spanning_tree,
 )
 from .split import find_split_partition, split_no_tree_condition, split_odd_spanning_tree
-from .tree_packing import exhaustive_pair_search, two_edge_disjoint_spanning_trees, verify_packing
+from .tree_packing import (
+    PartitionCertificate,
+    exhaustive_pair_search,
+    two_edge_disjoint_spanning_trees,
+    verify_packing,
+)
 from .trifree import trifree_complement_tree
 
 Case = tuple[int, tuple[Edge, ...]]
@@ -370,9 +375,8 @@ def sweep_packing(workers: int = 1, max_n: int = 6) -> SweepReport:
 def _factor_case(case: Case) -> Outcome:
     n, edges = case
     g = Graph(n, edges)
-    try:
-        factor = connected_odd_factor(g)
-    except NoTreePacking:
+    factor = connected_odd_factor(g)
+    if isinstance(factor, PartitionCertificate):
         return (f"no tree packing on 4-edge-connected n={n} edges={edges}", None, None)
     rep = verify_connected_odd_factor(g, factor)
     if not rep.ok:

@@ -40,6 +40,7 @@ GOLDEN = Path(__file__).parent / "golden"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
 P6 = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+P5 = "5 4\n0 1\n1 2\n2 3\n3 4\n"
 K6 = emit_graph(Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]))
 
 
@@ -583,6 +584,19 @@ _MUTATIONS = [
     (C4, ("check",), _replace_by(_C4_REPEATS), 65, ""),
     # the star at 3 with one edge written twice, the second time reversed
     (K4, ("check",), _append_line("T 3 2"), 65, ""),
+    # past each kind's own check: a line its method never writes ...
+    *((K4, ("check",), _append_line(ln), 1, "FAIL witness-rejected\n")
+      for ln in ("R junk 9", "C 7", "P x:1")),
+    *((C4, ("check",), _append_line(ln), 1, "FAIL witness-rejected\n")
+      for ln in ("T 0 1", "C 3", "P junk:0")),
+    (P5, ("check",), _append_line("T 0 1"), 1, "FAIL witness-rejected\n"),
+    # ... and an R line other than the one it writes, or none
+    (P5, ("check",), _replace_text("R odd-order 5", "R odd-order 7"), 1,
+     "FAIL witness-rejected\n"),
+    (C4, ("construct", "--factor"), _replace_text("R no-tree-packing", "R nonsense"), 1,
+     "FAIL witness-rejected\n"),
+    ("4 2\n0 1\n2 3\n", ("check",), _replace_text("R disconnected\n", ""), 1,
+     "FAIL witness-rejected\n"),
 ]
 
 

@@ -230,17 +230,48 @@ def test_edge_connectivity_at_most_min_degree():
         assert edge_connectivity(g) <= g.min_degree()
 
 
+def _min_cut_bruteforce(g):
+    """Fewest edges across any split of the vertices into two nonempty sides."""
+    adj = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+    # every side that holds vertex 0: the odd masks below the full one
+    return min(
+        sum((adj[v] & ~side).bit_count() for v in range(g.n) if side >> v & 1)
+        for side in range(1, (1 << g.n) - 1, 2)
+    )
+
+
 def test_edge_connectivity_at_least_matches_exact_on_small_graphs():
     # every labeled graph with n <= 6, disconnected and edgeless ones included
-    bounded = 0
+    bounded = below_degree = 0
     for n in range(2, 7):
         for g in all_graphs(n):
-            lam = edge_connectivity(g)
+            lam = _min_cut_bruteforce(g)
+            assert edge_connectivity(g) == lam, (n, sorted(g.edge_set()))
+            below_degree += lam < g.min_degree()
             for k in range(7):
                 assert edge_connectivity_at_least(g, k) == (lam >= k), (n, sorted(g.edge_set()), k)
                 bounded += lam < k <= g.min_degree()
     # the answer often rests on the bounded flows, not on the degree test
-    assert bounded > 500
+    assert bounded > 500 and below_degree > 500
+
+
+def test_edge_connectivity_flows_only_to_a_dominating_set(monkeypatch):
+    g, cut = gen_random(40, 0.5, 1), joined_cliques(10, 3)
+    # the exact value as one flow to every other vertex finds it
+    every = [min(graph_core._max_flow_unit(h, 0, t) for t in range(1, h.n)) for h in (g, cut)]
+    assert every == [g.min_degree(), 3] and cut.min_degree() == 9
+    real, sinks = graph_core._max_flow_unit, []
+
+    def counted(h, s, t, bound):
+        sinks.append(t)
+        return real(h, s, t, bound)
+
+    monkeypatch.setattr(graph_core, "_max_flow_unit", counted)
+    assert [edge_connectivity(g), edge_connectivity(cut)] == every
+    assert sinks == [1, 2, 3, 6, 12, 31, 11]
+    sinks.clear()
+    assert edge_connectivity_at_least(g, g.min_degree()) and not edge_connectivity_at_least(cut, 4)
+    assert sinks == [1, 2, 3, 6, 12, 31, 11]
 
 
 def test_edge_connectivity_at_least_matches_exact_seeded():
@@ -257,6 +288,8 @@ def test_edge_connectivity_at_least_matches_exact_seeded():
             links = [(j, h + j) for j in range(1 + i % 3)]
             g = Graph(n, [*a.edge_set(), *((u + h, v + h) for u, v in b.edge_set()), *links])
         lam = edge_connectivity(g)
+        # one flow to every other vertex, as the value was computed before
+        assert lam == min(graph_core._max_flow_unit(g, 0, t) for t in range(1, n)), (n, i)
         for k in range(n + 1):
             assert edge_connectivity_at_least(g, k) == (lam >= k), (n, i, k)
             bounded += lam < k <= g.min_degree()

@@ -2,13 +2,17 @@ import pytest
 
 from common import complete, cycle, es
 from oddspan import graph_core, odd_factor
-from oddspan.errors import NoTreePacking, NotATree, OddOrder
+from oddspan.errors import NotATree, OddOrder
 from oddspan.families import gen_bridge_join, gen_complete, gen_complete_bipartite
 from oddspan.graph_core import degrees
 from oddspan.odd_factor import connected_odd_factor
 from oddspan.oracle import verify_connected_odd_factor
 from oddspan.sweep import circulant
-from oddspan.tree_packing import PackingOutcome, two_edge_disjoint_spanning_trees
+from oddspan.tree_packing import (
+    PackingOutcome,
+    PartitionCertificate,
+    two_edge_disjoint_spanning_trees,
+)
 
 
 def _check_factor(g, f):
@@ -74,14 +78,14 @@ def test_odd_order_rejected():
 
 
 def test_no_packing_carries_certificate():
-    with pytest.raises(NoTreePacking) as info:
-        connected_odd_factor(cycle(4))
-    cert = info.value.cert
-    assert cert is not None
+    cert = connected_odd_factor(cycle(4))
+    assert isinstance(cert, PartitionCertificate)
+    assert cert == two_edge_disjoint_spanning_trees(cycle(4)).cert
     assert cert.cross_edges < 2 * (len(cert.parts) - 1)
 
 
 def test_bridge_join_has_no_packing():
     g = gen_bridge_join(gen_complete(4), gen_complete(4), 0, 0)
-    with pytest.raises(NoTreePacking):
-        connected_odd_factor(g)
+    cert = connected_odd_factor(g)
+    assert isinstance(cert, PartitionCertificate)
+    assert cert == two_edge_disjoint_spanning_trees(g).cert

@@ -6,7 +6,7 @@ import pytest
 from common import complete, cycle, es, path
 from oddspan import split
 from oddspan.cli import decide
-from oddspan.errors import BadWitness, ConditionHolds, OddOrder
+from oddspan.errors import BadWitness, OddOrder
 from oddspan.families import gen_random, gen_random_split
 from oddspan.graph_core import Graph, complement, degrees, edge, is_connected
 from oddspan.oracle import verify_odd_spanning_tree
@@ -73,8 +73,8 @@ def test_condition_true_private_pendants():
     g = Graph(6, [(3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
     sp = SplitPartition(x=frozenset({0, 1, 2}), y=(3, 4, 5))
     assert split_no_tree_condition(g, sp)
-    with pytest.raises(ConditionHolds):
-        split_odd_spanning_tree(g, sp)
+    assert build_y_star_forest(g, sp) is None
+    assert split_odd_spanning_tree(g, sp) is None
 
 
 def test_condition_rejects_odd_order():
@@ -86,6 +86,7 @@ def test_condition_rejects_odd_order():
 def test_singleton_clique_returns_star():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     sp = SplitPartition(x=frozenset({1, 2, 3}), y=(0,))
+    assert not split_no_tree_condition(g, sp)
     t = split_odd_spanning_tree(g, sp)
     assert t == g.edge_set()
     assert verify_odd_spanning_tree(g, t).ok
