@@ -23,7 +23,6 @@ from .errors import (
     BadWitness,
     Disconnected,
     DuplicateEdge,
-    EdgeConnectivityTooLow,
     EmptyGraph,
     MinDegreeTooLow,
     NotSplit,
@@ -58,7 +57,6 @@ from .graph_core import (
     diameter,
     edge,
     edge_connectivity,
-    edge_connectivity_at_least,
     is_connected,
     is_triangle_free,
 )
@@ -327,6 +325,8 @@ def recheck(g: Graph, cert: Certificate) -> str | None:
     elif (verdict, method) == (NOT_EXISTS, "oracle-exhaustive"):
         if g.n > ODD_TREE_VERTEX_CAP:
             failure = "over-size-cap"
+        elif not is_connected(g):
+            failure = "disconnected"  # the method answers such a graph as disconnected
         else:
             failure = None if find_odd_spanning_tree_bruteforce(g) is None else "tree-found"
     elif (verdict, method) == (NOT_EXISTS, "no-double-star"):
@@ -410,15 +410,11 @@ def _double_star(g: Graph) -> Certificate:
     return _exists(g, "double-star", tree)
 
 
-def _factor(g: Graph, strict: bool = False) -> Certificate:
-    # disconnected and odd-order graphs are answered as such before
-    # --strict can refuse them
+def _factor(g: Graph) -> Certificate:
+    # tested before the factor's own odd-order test, so that a disconnected
+    # graph of odd order is answered as disconnected
     if not is_connected(g):
         raise Disconnected("a connected odd factor needs a connected graph")
-    if g.n % 2:
-        raise OddOrder(f"order {g.n} is odd")
-    if strict and not edge_connectivity_at_least(g, 4):
-        raise EdgeConnectivityTooLow(f"edge connectivity {edge_connectivity(g)} < 4")
     f = connected_odd_factor(g)
     if isinstance(f, PartitionCertificate):
         return _checked(g, _no_packing(f), "partition certificate")
@@ -439,13 +435,12 @@ METHODS = {
 PIPELINE = ("parity", "split", "trifree", "dense", "oracle")
 
 
-def run_method(g: Graph, *names: str, **options) -> Certificate:
+def run_method(g: Graph, *names: str) -> Certificate:
     """Answer with the first of the named methods that has g in its scope.
 
     Every method but the last passes g on when g is outside its scope;
-    the last one takes the options, and its scope error reaches the
-    caller.  ``check``, ``check --method`` and ``construct`` all answer
-    through here.
+    the last one's scope error reaches the caller.  ``check`` and
+    ``construct`` both answer through here.
     """
     if g.n == 0:
         raise EmptyGraph("no vertices")
@@ -457,7 +452,7 @@ def run_method(g: Graph, *names: str, **options) -> Certificate:
                 continue  # outside this method's scope; try the next one
             if cert is not None:
                 return cert
-        return METHODS[names[-1]](g, **options)
+        return METHODS[names[-1]](g)
     except Disconnected:
         return _plain(g, NOT_EXISTS, "disconnected")
     except OddOrder:
@@ -536,16 +531,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _load_graph(args)
-    return _emit(decide(g) if args.method == "auto" else run_method(g, args.method))
+    return _emit(decide(_load_graph(args)))
 
 
 def _cmd_construct(args) -> int:
-    if args.strict and args.method != "factor":
-        print("error: --strict only applies to --factor", file=sys.stderr)
-        return EX_USAGE
-    options = {"strict": True} if args.strict else {}
-    return _emit(run_method(_load_graph(args), args.method, **options))
+    return _emit(run_method(_load_graph(args), args.method))
 
 
 def _cmd_verify(args) -> int:
@@ -617,21 +607,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="decide whether an odd spanning tree exists")
     p.add_argument("path", nargs="?", default="-")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", *PIPELINE[1:]])
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct", help="build a witness with one named method")
     p.add_argument("path", nargs="?", default="-")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--dense", dest="method", action="store_const", const="dense")
-    mode.add_argument("--split", dest="method", action="store_const", const="split")
-    mode.add_argument("--double-star", dest="method", action="store_const", const="double-star",
-                      help="spanning double star of the complement of the input")
-    mode.add_argument("--trifree", dest="method", action="store_const", const="trifree")
-    mode.add_argument("--factor", dest="method", action="store_const", const="factor")
-    p.add_argument("--strict", action="store_true",
-                   help="with --factor, require edge connectivity at least 4")
+    # the parity screen has no answer of its own when it finds no witness
+    for name in [m for m in METHODS if m != "parity"]:
+        mode.add_argument(f"--{name}", dest="method", action="store_const", const=name)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="re-verify a certificate against a graph")

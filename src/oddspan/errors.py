@@ -72,7 +72,3 @@ class NotTriangleFree(OddSpanError):
 
 class NotSplit(OddSpanError):
     """Graph does not split into an independent set and a clique."""
-
-
-class EdgeConnectivityTooLow(OddSpanError):
-    """Edge connectivity below the bound a construction was asked to require."""

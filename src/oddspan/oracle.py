@@ -149,21 +149,15 @@ def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
     if not is_connected(g):
         raise Disconnected(f"graph with {g.n} vertices is not connected")
     n = g.n
-    if n == 1:
-        return None
     edges = sorted(g.edge_set())
     deg = [0] * n
     undecided = degrees(edges, n)
     chosen: list[tuple[int, int]] = []
-    found: EdgeSet | None = None
 
-    def rec(i: int, parent: list[int], ncomp: int) -> bool:
-        nonlocal found
+    def rec(i: int, parent: list[int], ncomp: int) -> EdgeSet | None:
+        # a lone vertex ends here too: its degree 0 is even
         if ncomp == 1:
-            if all(d % 2 == 1 for d in deg):
-                found = frozenset(chosen)
-                return True
-            return False
+            return frozenset(chosen) if all(d % 2 == 1 for d in deg) else None
         e = edges[i]
         u, v = e
         undecided[u] -= 1
@@ -177,25 +171,25 @@ def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
                 child = parent.copy()
                 child[ru] = rv
                 chosen.append(e)
-                if rec(i + 1, child, ncomp - 1):
-                    return True
+                tree = rec(i + 1, child, ncomp - 1)
+                if tree is not None:
+                    return tree
                 chosen.pop()
             deg[u] -= 1
             deg[v] -= 1
+        tree = None
         # excluding an edge inside one component keeps the invariant for free
         if (
             (undecided[u] or deg[u] % 2)
             and (undecided[v] or deg[v] % 2)
             and (ru == rv or _reconnectable(parent, ncomp, edges, i + 1))
-            and rec(i + 1, parent, ncomp)
         ):
-            return True
+            tree = rec(i + 1, parent, ncomp)
         undecided[u] += 1
         undecided[v] += 1
-        return False
+        return tree
 
-    rec(0, list(range(n)), n)
-    return found
+    return rec(0, list(range(n)), n)
 
 
 def find_connected_odd_factor_bruteforce(g: Graph) -> EdgeSet | None:

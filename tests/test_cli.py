@@ -2,6 +2,8 @@ import hashlib
 import io
 import os
 import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oddspan
-from common import cycle, es, joined_cliques
+from common import cycle, es
 from oddspan import cli, graph_core, sweep
 from oddspan.cli import (
     Certificate,
@@ -31,7 +33,7 @@ from oddspan.errors import (
     SelfLoop,
 )
 from oddspan.families import gen_random
-from oddspan.graph_core import Graph, complement, diameter, edge_connectivity, is_connected
+from oddspan.graph_core import Graph, complement, diameter, is_connected
 from oddspan.sweep import all_graphs
 from oddspan.tree_packing import two_edge_disjoint_spanning_trees
 
@@ -287,15 +289,15 @@ def test_check_disconnected(capsys):
 
 
 def test_check_forced_methods(capsys):
-    code, out = run_cli(capsys, "check", "--method", "oracle", stdin=K4)
+    code, out = run_cli(capsys, "construct", "--oracle", stdin=K4)
     assert code == 0 and out.splitlines()[0] == "EXISTS oracle-exhaustive"
-    code, out = run_cli(capsys, "check", "--method", "dense", stdin=K6)
+    code, out = run_cli(capsys, "construct", "--dense", stdin=K6)
     assert code == 0 and out.splitlines()[0] == "EXISTS dense-min-degree"
-    code, out = run_cli(capsys, "check", "--method", "split", stdin=K4)
+    code, out = run_cli(capsys, "construct", "--split", stdin=K4)
     assert code == 0 and out.splitlines()[0] == "EXISTS split-criterion"
-    code, out = run_cli(capsys, "check", "--method", "trifree", stdin=K4)
+    code, out = run_cli(capsys, "construct", "--trifree", stdin=K4)
     assert code == 0 and out.splitlines()[0] == "EXISTS trifree-complement"
-    code, _ = run_cli(capsys, "check", "--method", "split", stdin=C4)
+    code, _ = run_cli(capsys, "construct", "--split", stdin=C4)
     assert code == 65  # not a split graph
 
 
@@ -310,44 +312,12 @@ def test_construct_goldens(capsys):
     assert code == 0 and out == golden("construct", "factor-k6")
 
 
-def test_construct_factor_strict(capsys):
-    code, out = run_cli(capsys, "construct", "--factor", "--strict", stdin=K6)
-    assert code == 0 and out == golden("construct", "factor-k6")
-    # C4 has edge connectivity 2, so strict mode refuses before packing
-    code, _ = run_cli(capsys, "construct", "--factor", "--strict", stdin=C4)
-    assert code == 65
-    code, _ = run_cli(capsys, "construct", "--dense", "--strict", stdin=K6)
-    assert code == 64
-
-
-def test_construct_factor_strict_refusal_message(capsys, monkeypatch):
-    calls = []
-
-    def counted(g):
-        calls.append(g)
-        return edge_connectivity(g)
-
-    monkeypatch.setattr(cli, "edge_connectivity", counted)
-    # C4 fails the minimum-degree test; two K5 joined by three edges
-    # (minimum degree 4, edge connectivity 3) fail only the bounded flows
-    for g, lam in ((cycle(4), 2), (joined_cliques(5, 3), 3)):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(emit_graph(g)))
-        assert main(["construct", "--factor", "--strict"]) == 65
-        assert capsys.readouterr() == ("", f"error: edge connectivity {lam} < 4\n")
-    assert len(calls) == 2
-    # the exact value is computed on the refusal path only
-    code, out = run_cli(capsys, "construct", "--factor", "--strict", stdin=K6)
-    assert code == 0 and out == golden("construct", "factor-k6")
-    assert len(calls) == 2
-
-
 def test_construct_factor_random_16_golden(capsys):
     # gen_random(16, 0.8, 1) is 4-edge-connected; both forests of the
     # packing span after 36 of its 93 edges, so the packing stops early
     _, host = run_cli(capsys, "gen", "--family", "random", "--n", "16", "--p", "0.8", "--seed", "1")
-    for argv in (["construct", "--factor"], ["construct", "--factor", "--strict"]):
-        code, out = run_cli(capsys, *argv, stdin=host)
-        assert code == 0 and out == golden("construct", "factor-random-16")
+    code, out = run_cli(capsys, "construct", "--factor", stdin=host)
+    assert code == 0 and out == golden("construct", "factor-random-16")
     g = parse_graph(host)
     t0, t1 = two_edge_disjoint_spanning_trees(g).trees
     edges = sorted(g.edge_set())
@@ -494,7 +464,7 @@ def test_every_decide_answer_rechecks(capsys, tmp_path):
         assert _verify(capsys, tmp_path, emit_graph(g), out) == (0, ("OK\n", "")), out
 
 
-@pytest.mark.parametrize("method", ["split", "trifree", "dense", "double-star", "factor"])
+@pytest.mark.parametrize("method", [m for m in cli.METHODS if m != "parity"])
 def test_every_construct_answer_rechecks(in_process, method):
     answered = 0
     for g in [*_graphs_up_to(5), *_seeded_graphs()]:
@@ -597,6 +567,8 @@ _MUTATIONS = [
      "FAIL witness-rejected\n"),
     ("4 2\n0 1\n2 3\n", ("check",), _replace_text("R disconnected\n", ""), 1,
      "FAIL witness-rejected\n"),
+    # the oracle answers a disconnected graph as disconnected, never by its search
+    ("4 2\n0 1\n2 3\n", ("check",), _swap_method("oracle-exhaustive"), 1, "FAIL disconnected\n"),
 ]
 
 
@@ -636,6 +608,46 @@ def test_seeded_certificate_mutations_never_end_in_a_traceback(capsys, tmp_path)
     assert codes[1] and codes[65]
 
 
+def _mutate_graph_text(rng: random.Random, text: str) -> str:
+    """One random edit of an emitted graph; no token it writes exceeds 2n."""
+    lines = text.splitlines()
+    n = int(lines[0].split()[0])
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    edit = rng.randrange(5)
+    if edit == 0:
+        del lines[i]
+    elif edit == 1:
+        lines.insert(i, lines[i])
+    elif edit == 2:
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == 3:
+        tokens = lines[i].split()
+        bad = ["-1", "x", "1.5", str(rng.randrange(n, 2 * n + 1))]  # the last is out of range
+        tokens[rng.randrange(len(tokens))] = rng.choice(bad)
+        lines[i] = " ".join(tokens)
+    else:
+        lines.insert(i, " ".join(str(rng.randrange(n)) for _ in range(3)))
+    return rng.choice(["\n", "\r\n"]).join(lines) + "\n"
+
+
+def test_seeded_graph_text_mutations_never_end_in_a_traceback(capsys, monkeypatch):
+    rng = random.Random(18)
+    commands = [("check",), ("construct", "--factor"), ("construct", "--double-star"), ("info",),
+                ("complement",)]
+    codes: Counter[int] = Counter()
+    for _ in range(500):
+        g = gen_random(rng.randint(1, 10), rng.random(), rng.randrange(100))
+        text = _mutate_graph_text(rng, emit_graph(g))
+        for argv in commands:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = main(list(argv))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 65), (argv, text)
+            assert err.startswith("error: ") if code == 65 else err == "", (argv, text)
+            codes[code] += 1
+    assert codes.keys() == {0, 1, 2, 65}
+
+
 def test_exit_codes_for_bad_input(capsys):
     assert run_cli(capsys, "check", stdin="3 1\n0 0\n")[0] == 65
     assert run_cli(capsys, "check", stdin="2 2\n0 1\n1 0\n")[0] == 65
@@ -664,11 +676,10 @@ def test_construct_double_star_below_diameter_four(capsys):
     assert out == "EXISTS double-star\nT 0 2\nT 0 3\nT 0 4\nT 1 3\nT 3 5\n"
 
 
-@pytest.mark.parametrize("strict", [(), ("--strict",)])
 @pytest.mark.parametrize("text", ["1 0\n", "3 3\n0 1\n1 2\n0 2\n",
                                   emit_graph(Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]))])
-def test_construct_factor_answers_odd_order_before_strict(capsys, text, strict):
-    code, out = run_cli(capsys, "construct", "--factor", *strict, stdin=text)
+def test_construct_factor_answers_odd_order_before_strict(capsys, text):
+    code, out = run_cli(capsys, "construct", "--factor", stdin=text)
     assert code == 1 and out.startswith("NOT_EXISTS odd-order\n")
 
 
@@ -677,11 +688,17 @@ def test_exit_codes_for_usage(capsys):
     assert main(["bogus"]) == 64
     assert main(["construct"]) == 64  # missing method flag
     assert main(["check", "--odd-spanning-tree"]) == 64  # a retired no-op
+    # one selector: construct runs a single method, and check only decides
+    assert main(["check", "--method", "split"]) == 64
+    assert main(["construct", "--factor", "--strict"]) == 64
+    assert main(["construct", "--factor", "--dense"]) == 64
     assert main([]) == 64
     assert main(["--help"]) == 0
     capsys.readouterr()
-    assert main(["check", "--help"]) == 0
-    assert "--method" in capsys.readouterr().out
+    assert main(["construct", "--help"]) == 0
+    usage = capsys.readouterr().out
+    for name in cli.METHODS:
+        assert (f"--{name}" in usage) == (name != "parity"), name
 
 
 # golden name -> sweep flags; the trifree settings reach every coverage line,
@@ -828,6 +845,38 @@ def test_console_script_pipeline():
         assert check.stdout.splitlines()[0] == "EXISTS split-criterion"
 
 
+def _readme_transcripts():
+    """(command, expected stdout) for each ``$`` line in README's sh blocks,
+    one list per block; a block's commands share a directory."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = []
+    for block in readme.split("```sh\n")[1:]:
+        runs = []
+        for line in block.split("```", 1)[0].splitlines():
+            if line.startswith("$ "):
+                runs.append((line[2:], []))
+            elif runs and line:
+                runs[-1][1].append(line)
+        if runs:
+            blocks.append([(cmd, "".join(ln + "\n" for ln in out)) for cmd, out in runs])
+    return blocks
+
+
+def test_readme_transcripts_run(tmp_path):
+    src = str(Path(oddspan.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "ODD_SPAN_THREADS": "1"}
+    blocks = _readme_transcripts()
+    assert len(blocks) == 3
+    for k, block in enumerate(blocks):
+        cwd = tmp_path / str(k)
+        cwd.mkdir()
+        for cmd, want in block:
+            shell = re.sub(r"\boddspan\b", f"{shlex.quote(sys.executable)} -m oddspan.cli", cmd)
+            done = subprocess.run(["sh", "-c", shell], cwd=cwd, env=env, capture_output=True,
+                                  text=True)
+            assert (done.stdout, done.stderr) == (want, ""), cmd
+
+
 @pytest.fixture
 def in_process(capsys, monkeypatch):
     """Run a parsed subcommand on a Graph, skipping argparse per call.
@@ -854,20 +903,12 @@ def _graphs_up_to(n: int):
         yield from all_graphs(k)
 
 
-@pytest.mark.parametrize("method", ["split", "trifree", "dense"])
-def test_check_method_matches_construct(in_process, method):
-    for g in _graphs_up_to(5):
-        check = in_process(("check", "--method", method), g)
-        construct = in_process(("construct", f"--{method}"), g)
-        assert check == construct, (method, sorted(g.edge_set()))
-
-
-def test_check_method_oracle_exits_as_check(in_process):
+def test_construct_oracle_exits_as_check(in_process):
     disconnected = 0
     for g in _graphs_up_to(5):
         if g.n == 0:
             continue
-        code, out = in_process(("check", "--method", "oracle"), g)
+        code, out = in_process(("construct", "--oracle"), g)
         assert code == in_process(("check",), g)[0], sorted(g.edge_set())
         if not graph_core.is_connected(g):
             assert out.splitlines()[0] == "NOT_EXISTS disconnected"
@@ -880,7 +921,7 @@ def test_check_split_nonexistence_certificates_recheck(in_process):
     # split graph whose parts meet the condition must get another answer
     answered = 0
     for g in _graphs_up_to(6):
-        code, out = in_process(("check", "--method", "split"), g)
+        code, out = in_process(("construct", "--split"), g)
         if not out.startswith("NOT_EXISTS split-criterion"):
             continue
         assert code == 1
