@@ -148,6 +148,8 @@ def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
         raise SizeCap(f"odd-spanning-tree search capped at n <= {ODD_TREE_VERTEX_CAP}, got {g.n}")
     if not is_connected(g):
         raise Disconnected(f"graph with {g.n} vertices is not connected")
+    if g.n % 2:
+        return None  # handshake lemma: all degrees odd forces an even order
     n = g.n
     edges = sorted(g.edge_set())
     deg = [0] * n

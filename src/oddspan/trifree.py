@@ -144,16 +144,16 @@ def _all_odd_tree(g: Graph) -> tuple[str, EdgeSet]:
 
 
 def _theta_tree(
-    g: Graph, fr: CaseFrame, a_side: list[int], b_side: list[int], c_side: list[int]
+    y: int, x1: int, x2: int, a_side: list[int], b_side: list[int], c_side: list[int]
 ) -> tuple[str, EdgeSet]:
     """Branches where the complement is two cliques sharing c_side.
 
     The complement here looks like cliques on a_side + c_side and
-    b_side + c_side, with x1 attached to a_side and x2, x2 to b_side
-    and x1, and no edges between a_side and b_side.
+    b_side + c_side, with x1 attached to a_side and x2; x2 to b_side
+    and x1; and no edges between a_side and b_side.  Swapping
+    (x1, a_side) with (x2, b_side) keeps that shape, so one swap makes
+    the a side the hub and each tree below is built once.
     """
-    x1, x2 = fr.xs
-    y = fr.y
     alpha, beta, gamma = len(a_side), len(b_side), len(c_side)
     # g is build_theta(alpha, beta, gamma) of even order, and the shapes
     # (1, 1, 2), (1, 2, 1) and (2, 1, 1) are c5-of-2: excluded upstream
@@ -163,12 +163,9 @@ def _theta_tree(
         tree |= {edge(c[2], c[i]) for i in range(3, gamma)}
         tree |= {edge(b, c[2]), edge(b, c[1]), edge(x2, b)}
         return "T11", frozenset(tree)
-    if alpha == 1 and gamma == 1:
-        a, b = a_side[0], b_side
-        tree = {edge(x1, x2), edge(x2, b[0]), edge(x2, b[2])}
-        tree |= {edge(b[2], b[j]) for j in range(3, beta)}
-        tree |= {edge(y, b[2]), edge(y, b[1]), edge(a, y)}
-        return "T11", frozenset(tree)
+    if alpha % 2 == 1 and (beta % 2 == 0 or alpha == 1):
+        x1, x2, a_side, b_side = x2, x1, b_side, a_side
+        alpha, beta = beta, alpha
     if beta == 1 and gamma == 1:
         b, a = b_side[0], a_side
         tree = {edge(x1, x2), edge(x1, a[0]), edge(x1, a[2])}
@@ -176,39 +173,23 @@ def _theta_tree(
         tree |= {edge(y, a[2]), edge(y, a[1]), edge(b, y)}
         return "T11", frozenset(tree)
     if gamma == 1:
-        # alpha, beta >= 2 and exactly one of them even
-        if alpha % 2 == 0:
-            assert beta % 2 == 1 and beta >= 3
-            hub_x, hub, oth_x, oth = x1, a_side, x2, b_side
-        else:
-            assert beta % 2 == 0 and alpha >= 3
-            hub_x, hub, oth_x, oth = x2, b_side, x1, a_side
-        tree = {edge(hub_x, hub[0]), edge(y, hub[0])}
-        tree |= {edge(hub[0], w) for w in hub[1:]}
-        tree |= {edge(oth_x, oth[0]), edge(y, oth[0]), edge(y, oth[-1])}
-        tree |= {edge(oth[0], w) for w in oth[1:-1]}
+        # alpha, beta >= 2 and exactly one of them even: alpha, by the swap
+        assert alpha % 2 == 0 and beta % 2 == 1 and beta >= 3
+        tree = {edge(x1, a_side[0]), edge(y, a_side[0])}
+        tree |= {edge(a_side[0], w) for w in a_side[1:]}
+        tree |= {edge(x2, b_side[0]), edge(y, b_side[0]), edge(y, b_side[-1])}
+        tree |= {edge(b_side[0], w) for w in b_side[1:-1]}
         return "T12", frozenset(tree)
-    # gamma >= 2 and not both sides singletons
+    # gamma >= 2 and not both sides singletons, so the swap left alpha >= 2
+    assert alpha >= 2
+    tid = "T9" if alpha % 2 == 0 else "T10"
     spoke = min(w for w in c_side if w != y)
-    if alpha % 2 == 0:
-        hub_x, hub, oth = x1, a_side, b_side
-        tid = "T9"
-    elif beta % 2 == 0:
-        hub_x, hub, oth = x2, b_side, a_side
-        tid = "T9"
-    elif alpha >= 3:
-        hub_x, hub, oth = x1, a_side, b_side
-        tid = "T10"
-    else:
-        assert beta >= 3
-        hub_x, hub, oth = x2, b_side, a_side
-        tid = "T10"
-    tree = {edge(x1, x2), edge(hub_x, hub[0]), edge(hub_x, hub[1])}
-    tree.add(edge(hub[0], y))
-    tree |= {edge(hub[0], w) for w in hub[2:]}
-    tree |= {edge(y, w) for w in oth}
+    tree = {edge(x1, x2), edge(x1, a_side[0]), edge(x1, a_side[1])}
+    tree.add(edge(a_side[0], y))
+    tree |= {edge(a_side[0], w) for w in a_side[2:]}
+    tree |= {edge(y, w) for w in b_side}
     tree |= {edge(y, w) for w in c_side if w not in (y, spoke)}
-    tree.add(edge(hub[0], spoke) if tid == "T9" else edge(y, spoke))
+    tree.add(edge(a_side[0], spoke) if tid == "T9" else edge(y, spoke))
     return tid, frozenset(tree)
 
 
@@ -271,19 +252,16 @@ def _even_anchor_tree(g: Graph, fr: CaseFrame) -> tuple[str, EdgeSet]:
     )
     if gap is not None:
         ya, yb = gap
-        if len(b_side) >= 2:
-            y3 = min(w for w in b_side if w != yb)
-            tree = {edge(x1, ya), edge(ya, yb), edge(x2, yb), edge(yb, y3)}
-            tree |= {edge(y, w) for w in ys if w not in (y, yb, y3)}
-            return "T7", frozenset(tree)
+        if len(b_side) == 1:
+            x1, x2, a_side, b_side, ya, yb = x2, x1, b_side, a_side, yb, ya
         # every ys-edge joins a_side to b_side, so two singleton sides
         # with a gap leave ys independent: that frame was built as T6
-        assert len(a_side) >= 2
-        y3 = min(w for w in a_side if w != ya)
-        tree = {edge(x2, yb), edge(ya, yb), edge(x1, ya), edge(ya, y3)}
-        tree |= {edge(y, w) for w in ys if w not in (y, ya, y3)}
+        assert len(b_side) >= 2
+        y3 = min(w for w in b_side if w != yb)
+        tree = {edge(x1, ya), edge(ya, yb), edge(x2, yb), edge(yb, y3)}
+        tree |= {edge(y, w) for w in ys if w not in (y, yb, y3)}
         return "T7", frozenset(tree)
-    return _theta_tree(g, fr, a_side, b_side, c_side)
+    return _theta_tree(y, x1, x2, a_side, b_side, c_side)
 
 
 def trifree_complement_tree(g: Graph) -> TrifreeDecision:

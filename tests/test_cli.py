@@ -34,6 +34,7 @@ from oddspan.errors import (
 )
 from oddspan.families import gen_random
 from oddspan.graph_core import Graph, complement, diameter, is_connected
+from oddspan.oracle import find_odd_spanning_tree_bruteforce
 from oddspan.sweep import all_graphs
 from oddspan.tree_packing import two_edge_disjoint_spanning_trees
 
@@ -457,6 +458,10 @@ def test_every_decide_answer_rechecks(capsys, tmp_path):
         out = emit_certificate(decide(g))
         cert = parse_certificate(out)
         assert cli.recheck(g, cert) is None, out
+        if g.n <= 10:
+            # within the oracle's reach, decide answers and agrees with it
+            found = is_connected(g) and find_odd_spanning_tree_bruteforce(g) is not None
+            assert cert.verdict == ("EXISTS" if found else "NOT_EXISTS"), out
         first.setdefault((cert.verdict, cert.method), (g, out))
     assert len(first) == 12
     # one of each kind through the verify subcommand

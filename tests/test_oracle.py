@@ -1,6 +1,7 @@
 import pytest
 
 from common import complete, cycle, es, path
+from oddspan import oracle
 from oddspan.errors import Disconnected, SizeCap
 from oddspan.families import gen_complete_bipartite, gen_random
 from oddspan.graph_core import Graph, degrees, find_root, is_connected
@@ -94,6 +95,18 @@ def test_find_odd_tree_negative_cases():
     # odd order: handshake forbids all-odd degrees
     for g in (cycle(5), complete(5), path(3), Graph(1)):
         assert find_odd_spanning_tree_bruteforce(g) is None
+
+
+def test_find_odd_tree_skips_the_search_at_odd_order(monkeypatch):
+    # the handshake lemma answers an odd order; exhausting K9 took over a second
+    def refuse(*args):
+        raise AssertionError("searched a graph of odd order")
+
+    monkeypatch.setattr(oracle, "_reconnectable", refuse)
+    assert find_odd_spanning_tree_bruteforce(complete(9)) is None
+    # the connectivity error still comes first (test_size_caps holds the cap's)
+    with pytest.raises(Disconnected):
+        find_odd_spanning_tree_bruteforce(Graph(5, [(0, 1)]))
 
 
 def test_find_odd_tree_agrees_with_verifier():
