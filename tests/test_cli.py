@@ -654,12 +654,30 @@ def test_seeded_graph_text_mutations_never_end_in_a_traceback(capsys, monkeypatc
 
 
 def test_exit_codes_for_bad_input(capsys):
-    assert run_cli(capsys, "check", stdin="3 1\n0 0\n")[0] == 65
-    assert run_cli(capsys, "check", stdin="2 2\n0 1\n1 0\n")[0] == 65
-    assert run_cli(capsys, "check", stdin="x\n")[0] == 65
-    assert run_cli(capsys, "check", stdin="0 0\n")[0] == 65
-    assert run_cli(capsys, "construct", "--dense", stdin="4 3\n0 1\n0 2\n0 3\n")[0] == 65
-    assert run_cli(capsys, "check", "/nonexistent/file.txt")[0] == 65
+    cases = [
+        (("check",), "3 1\n0 0\n", "error: line 2: self loop at 0"),
+        (("check",), "2 2\n0 1\n1 0\n", "error: line 3: edge 0 1 repeated"),
+        (("check",), "x\n", "error: line 1: header must be two integers 'n m'"),
+        (("check",), "0 0\n", "error: no vertices"),
+        (("construct", "--dense"), "4 3\n0 1\n0 2\n0 3\n",
+         "error: minimum degree 1 below required bound 3"),
+        (("construct", "--split"), C4, "error: input is not a split graph"),
+        (("construct", "--trifree"), P6, "error: complement of input must be triangle-free"),
+        (("construct", "--dense"), P6, "error: minimum degree 1 below required bound 4"),
+        (("gen", "--family", "cbme", "--s", "3", "--t", "2"), None,
+         "error: part sizes must be even and >= 2, got (3, 2)"),
+        (("check", "/nonexistent/file.txt"), None,
+         "error: [Errno 2] No such file or directory: '/nonexistent/file.txt'"),
+    ]
+    for argv, stdin, err in cases:
+        old = sys.stdin
+        sys.stdin = io.StringIO(stdin or "")
+        try:
+            code = main(list(argv))
+        finally:
+            sys.stdin = old
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (65, "", err + "\n"), argv
 
 
 def test_construct_double_star_on_disconnected_input(capsys):
