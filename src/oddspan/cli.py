@@ -22,15 +22,11 @@ from .dense_tree import odd_spanning_tree_dense
 from .errors import (
     BadWitness,
     Disconnected,
-    DuplicateEdge,
     EmptyGraph,
-    MinDegreeTooLow,
-    NotSplit,
-    NotTriangleFree,
     OddOrder,
     OddSpanError,
+    OutOfScope,
     ParseError,
-    SelfLoop,
 )
 from .families import (
     BIPARTITE_EVEN_PARTS,
@@ -132,10 +128,10 @@ def parse_graph(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(lineno, f"vertex id out of range 0..{n - 1}")
         if u == v:
-            raise SelfLoop(f"line {lineno}: self loop at {u}")
+            raise ParseError(lineno, f"self loop at {u}")
         e = edge(u, v)
         if e in seen:
-            raise DuplicateEdge(f"line {lineno}: edge {e[0]} {e[1]} repeated")
+            raise ParseError(lineno, f"edge {e[0]} {e[1]} repeated")
         seen.add(e)
         edges.append(e)
     return Graph(n, edges)
@@ -359,8 +355,9 @@ def _exists(g: Graph, method: str, witness: EdgeSet) -> Certificate:
                     "constructed witness")
 
 
-# Each method takes a nonempty graph and returns a Certificate, or None or
-# a typed error when the graph is outside its scope.
+# Each method takes a nonempty graph and returns a Certificate.  One whose
+# theorem does not cover the graph raises OutOfScope; the parity screen
+# returns None when it finds no witness.
 
 
 def _parity(g: Graph) -> Certificate | None:
@@ -371,7 +368,7 @@ def _parity(g: Graph) -> Certificate | None:
 def _split(g: Graph) -> Certificate:
     sp = find_split_partition(g)
     if sp is None:
-        raise NotSplit("input is not a split graph")
+        raise OutOfScope("input is not a split graph")
     tree = split_odd_spanning_tree(g, sp)
     if tree is None:
         return _refuted("split-criterion", NonexistenceReason(SPLIT_CONDITION, sp))
@@ -381,7 +378,7 @@ def _split(g: Graph) -> Certificate:
 def _trifree(g: Graph) -> Certificate:
     # most inputs fail here, before their complement is built
     if complement_has_triangle(g):
-        raise NotTriangleFree("complement of input must be triangle-free")
+        raise OutOfScope("complement of input must be triangle-free")
     decision = trifree_complement_tree(complement(g))
     if decision.exists:
         return _exists(g, "trifree-complement", decision.tree)
@@ -438,9 +435,9 @@ PIPELINE = ("parity", "split", "trifree", "dense", "oracle")
 def run_method(g: Graph, *names: str) -> Certificate:
     """Answer with the first of the named methods that has g in its scope.
 
-    Every method but the last passes g on when g is outside its scope;
-    the last one's scope error reaches the caller.  ``check`` and
-    ``construct`` both answer through here.
+    Every method but the last passes g on when it raises OutOfScope or
+    returns None; the last one's OutOfScope reaches the caller.  ``check``
+    and ``construct`` both answer through here.
     """
     if g.n == 0:
         raise EmptyGraph("no vertices")
@@ -448,7 +445,7 @@ def run_method(g: Graph, *names: str) -> Certificate:
         for name in names[:-1]:
             try:
                 cert = METHODS[name](g)
-            except (NotSplit, NotTriangleFree, MinDegreeTooLow):
+            except OutOfScope:
                 continue  # outside this method's scope; try the next one
             if cert is not None:
                 return cert

@@ -9,7 +9,7 @@ exists until the tree spans.
 
 from __future__ import annotations
 
-from .errors import EmptyGraph, MinDegreeTooLow, OddOrder
+from .errors import OddOrder, OutOfScope
 from .graph_core import EdgeSet, Graph, edge
 
 
@@ -22,16 +22,14 @@ def odd_spanning_tree_dense(g: Graph) -> EdgeSet:
     vertex with two outside neighbors and hangs the lowest two on it.
 
     Raises:
-        EmptyGraph, OddOrder, MinDegreeTooLow: precondition failures.
+        EmptyGraph, OddOrder, OutOfScope: precondition failures.
     """
     n = g.n
-    if n == 0:
-        raise EmptyGraph("cannot grow a tree in the empty graph")
     if n % 2:
         raise OddOrder(f"order {n} is odd")
     bound = n // 2 + 1
     if g.min_degree() < bound:
-        raise MinDegreeTooLow(g.min_degree(), bound)
+        raise OutOfScope(f"minimum degree {g.min_degree()} below required bound {bound}")
     odd = [v for v in range(n) if g.degree(v) % 2]
     if odd:
         v = odd[0]

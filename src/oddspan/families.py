@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import trifree
-from .errors import BadWitness, Disconnected, EmptyGraph, OddOrder, ParityArgument
+from .errors import BadWitness, Disconnected, EmptyGraph, OddOrder
 from .graph_core import (
     Bipartition,
     Graph,
@@ -59,7 +59,7 @@ def gen_complete_bipartite(m: int, n: int) -> Graph:
 
 def gen_complete_bipartite_minus_edge(s2: int, t2: int) -> Graph:
     if s2 < 2 or t2 < 2 or s2 % 2 or t2 % 2:
-        raise ParityArgument(f"part sizes must be even and >= 2, got ({s2}, {t2})")
+        raise ValueError(f"part sizes must be even and >= 2, got ({s2}, {t2})")
     es = [(u, v) for u in range(s2) for v in range(s2, s2 + t2)]
     es.remove((0, s2))
     return Graph(s2 + t2, es)
@@ -240,8 +240,6 @@ def find_nonexistence(g: Graph) -> NonexistenceReason | None:
     then finds every bridge in O(n + m); ``check_nonexistence``
     re-checks a bridge the slow way.
     """
-    if g.n == 0:
-        raise EmptyGraph("nonexistence search expects a nonempty graph")
     if g.n % 2:
         # only connectivity matters here, and a plain BFS is cheaper
         # than building the bipartition

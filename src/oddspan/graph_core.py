@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import Disconnected, EmptyGraph, NotATree, SelfLoop
+from .errors import Disconnected, EmptyGraph, NotATree
 
 __all__ = [
     "Edge",
@@ -43,7 +43,7 @@ EdgeSet = frozenset[Edge]
 def edge(u: int, v: int) -> Edge:
     """Canonical form of an undirected edge: endpoints sorted, no loops."""
     if u == v:
-        raise SelfLoop(f"self-loop at vertex {u}")
+        raise ValueError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
 
 
@@ -63,7 +63,7 @@ class Graph:
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             nbrs[u].add(v)

@@ -206,47 +206,40 @@ def find_connected_odd_factor_bruteforce(g: Graph) -> EdgeSet | None:
     deg = [0] * n
     undecided = degrees(edges, n)
     chosen: list[tuple[int, int]] = []
-    found: EdgeSet | None = None
 
-    def parity_ok(w: int) -> bool:
-        return undecided[w] > 0 or deg[w] % 2 == 1
-
-    def connectable(parent: list[int], ncomp: int, start: int) -> bool:
-        return ncomp == 1 or _reconnectable(parent, ncomp, edges, start)
-
-    def rec(i: int, parent: list[int], ncomp: int) -> bool:
-        nonlocal found
+    def rec(i: int, parent: list[int], ncomp: int) -> EdgeSet | None:
         if i == m:
-            if ncomp == 1 and all(d % 2 == 1 for d in deg):
-                found = frozenset(chosen)
-                return True
-            return False
-        u, v = edges[i]
+            return frozenset(chosen) if ncomp == 1 and all(d % 2 == 1 for d in deg) else None
+        e = edges[i]
+        u, v = e
         undecided[u] -= 1
         undecided[v] -= 1
-        try:
-            deg[u] += 1
-            deg[v] += 1
-            if parity_ok(u) and parity_ok(v):
-                ru, rv = find_root(parent, u), find_root(parent, v)
-                child = parent
-                nc = ncomp
-                if ru != rv:
-                    child = parent.copy()
-                    child[ru] = rv
-                    nc = ncomp - 1
-                chosen.append(edges[i])
-                if rec(i + 1, child, nc):
-                    return True
-                chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-            if parity_ok(u) and parity_ok(v) and connectable(parent, ncomp, i + 1):
-                return rec(i + 1, parent, ncomp)
-            return False
-        finally:
-            undecided[u] += 1
-            undecided[v] += 1
+        deg[u] += 1
+        deg[v] += 1
+        # a vertex whose parity is final must be odd
+        if (undecided[u] or deg[u] % 2) and (undecided[v] or deg[v] % 2):
+            ru, rv = find_root(parent, u), find_root(parent, v)
+            child, nc = parent, ncomp
+            if ru != rv:
+                child = parent.copy()
+                child[ru] = rv
+                nc -= 1
+            chosen.append(e)
+            factor = rec(i + 1, child, nc)
+            if factor is not None:
+                return factor
+            chosen.pop()
+        deg[u] -= 1
+        deg[v] -= 1
+        factor = None
+        if (
+            (undecided[u] or deg[u] % 2)
+            and (undecided[v] or deg[v] % 2)
+            and (ncomp == 1 or _reconnectable(parent, ncomp, edges, i + 1))
+        ):
+            factor = rec(i + 1, parent, ncomp)
+        undecided[u] += 1
+        undecided[v] += 1
+        return factor
 
-    rec(0, list(range(n)), n)
-    return found
+    return rec(0, list(range(n)), n)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadWitness, Disconnected, EmptyGraph, OddOrder
+from .errors import BadWitness, Disconnected, OddOrder
 from .graph_core import (
     EdgeSet,
     Graph,
@@ -139,8 +139,6 @@ def split_odd_spanning_tree(g: Graph, sp: SplitPartition) -> EdgeSet | None:
         OddOrder, Disconnected, EmptyGraph.
     """
     validate_partition(g, sp)
-    if g.n == 0:
-        raise EmptyGraph("no spanning tree in the empty graph")
     if g.n % 2:
         raise OddOrder(f"order {g.n} is odd")
     if not is_connected(g):

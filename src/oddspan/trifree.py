@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Disconnected, EmptyGraph, NotTriangleFree, OddOrder
+from .errors import Disconnected, EmptyGraph, OddOrder, OutOfScope
 from .graph_core import (
     EdgeSet,
     Graph,
@@ -268,12 +268,12 @@ def trifree_complement_tree(g: Graph) -> TrifreeDecision:
     """Decide and build: odd spanning tree in the complement of g.
 
     Raises:
-        EmptyGraph, NotTriangleFree, OddOrder: input out of scope.
+        EmptyGraph, OutOfScope, OddOrder: input out of scope.
     """
     if g.n == 0:
         raise EmptyGraph("no spanning tree over zero vertices")
     if not is_triangle_free(g):
-        raise NotTriangleFree("input must be triangle-free")
+        raise OutOfScope("input must be triangle-free")
     if g.n % 2:
         raise OddOrder(f"order {g.n} is odd")
     family = recognize_excluded(g)

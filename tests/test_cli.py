@@ -26,11 +26,9 @@ from oddspan.cli import (
     run_method,
 )
 from oddspan.errors import (
-    DuplicateEdge,
     EmptyGraph,
     OddSpanError,
     ParseError,
-    SelfLoop,
 )
 from oddspan.families import gen_random
 from oddspan.graph_core import Graph, complement, diameter, is_connected
@@ -89,10 +87,12 @@ def test_parse_graph_errors():
         parse_graph("2 1\n0 2\n")  # out of range
     with pytest.raises(ParseError):
         parse_graph("-1 0\n")
-    with pytest.raises(SelfLoop):
+    with pytest.raises(ParseError, match="^line 2: self loop at 0$") as info:
         parse_graph("3 1\n0 0\n")
-    with pytest.raises(DuplicateEdge):
+    assert info.value.line == 2
+    with pytest.raises(ParseError, match="^line 3: edge 0 1 repeated$") as info:
         parse_graph("2 2\n0 1\n1 0\n")
+    assert info.value.line == 3
 
 
 def test_graph_round_trip():
@@ -138,7 +138,8 @@ def test_parse_certificate_strips_comments():
 
 
 @pytest.mark.parametrize(
-    "line", ["T 0 x", "T 0", "T 0 1 2", "T 1.5 2", "P left:0,a", "P left:0;1", "C many", "C"]
+    "line",
+    ["T 0 x", "T 0", "T 0 1 2", "T 1.5 2", "T 2 2", "P left:0,a", "P left:0;1", "C many", "C"],
 )
 def test_parse_certificate_non_integer_field(capsys, tmp_path, line):
     with pytest.raises(ParseError) as info:

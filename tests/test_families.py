@@ -2,7 +2,7 @@ import pytest
 
 from common import complete, cycle, es, path
 from oddspan import trifree
-from oddspan.errors import BadWitness, Disconnected, EmptyGraph, OddOrder, ParityArgument
+from oddspan.errors import BadWitness, Disconnected, EmptyGraph, OddOrder
 from oddspan.families import (
     BIPARTITE_EVEN_PARTS,
     BRIDGE_EVEN_SIDES,
@@ -61,9 +61,9 @@ def test_gen_cbme():
     g = gen_complete_bipartite_minus_edge(2, 4)
     assert g.n == 6 and g.m == 7
     assert not g.has_edge(0, 2)
-    with pytest.raises(ParityArgument):
+    with pytest.raises(ValueError, match=r"^part sizes must be even and >= 2, got \(3, 4\)$"):
         gen_complete_bipartite_minus_edge(3, 4)
-    with pytest.raises(ParityArgument):
+    with pytest.raises(ValueError, match=r"^part sizes must be even and >= 2, got \(2, 5\)$"):
         gen_complete_bipartite_minus_edge(2, 5)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from common import complete, cycle, es, joined_cliques, path
 from oddspan import graph_core
-from oddspan.errors import Disconnected, EmptyGraph, NotATree, SelfLoop
+from oddspan.errors import Disconnected, EmptyGraph, NotATree
 from oddspan.families import gen_complete_bipartite, gen_random
 from oddspan.graph_core import (
     Graph,
@@ -29,7 +29,7 @@ from oddspan.sweep import all_graphs, circulant
 def test_edge_normalizes_and_rejects_loops():
     assert edge(3, 1) == (1, 3)
     assert edge(1, 3) == (1, 3)
-    with pytest.raises(SelfLoop):
+    with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
         edge(2, 2)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from common import complete, cycle, es, path
 from oddspan import graph_core, trifree
-from oddspan.errors import EmptyGraph, NotTriangleFree, OddOrder
+from oddspan.errors import EmptyGraph, OddOrder, OutOfScope
 from oddspan.families import (
     _SplitMix,
     gen_c5k,
@@ -255,7 +255,7 @@ def test_star_decision_on_empty_pair():
 def test_decision_rejects_bad_inputs():
     with pytest.raises(EmptyGraph):
         trifree_complement_tree(Graph(0))
-    with pytest.raises(NotTriangleFree):
+    with pytest.raises(OutOfScope, match="^input must be triangle-free$"):
         trifree_complement_tree(complete(3))
     with pytest.raises(OddOrder):
         trifree_complement_tree(cycle(5))
