@@ -340,9 +340,28 @@ def bfs_distances(adj, s: int) -> list[int]:
 
 
 def diameter(g: Graph) -> int:
+    """Largest eccentricity, one level-by-level walk per source on vertex
+    bitmasks: the next level is the union of the current level's
+    neighbour masks, less the vertices already seen."""
     if not is_connected(g):
         raise Disconnected("diameter of a disconnected graph is infinite")
-    return max(max(bfs_distances(g.adj, s)) for s in range(g.n))
+    nbr = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    full = (1 << g.n) - 1
+    worst = 0
+    for s in range(g.n):
+        seen = level = 1 << s
+        ecc = 0
+        while seen != full:
+            reach = 0
+            while level:
+                low = level & -level
+                level ^= low
+                reach |= nbr[low.bit_length() - 1]
+            level = reach & ~seen
+            seen |= level
+            ecc += 1
+        worst = max(worst, ecc)
+    return worst
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -6,6 +6,13 @@ forest in canonical order; when an edge fits neither forest directly, a
 breadth-first search over swap moves (relocate an edge of one forest
 into the other to make room) either finds an augmenting chain or labels
 a closed edge set whose vertex spans collapse into certificate parts.
+
+A 2-degenerate graph, one that deleting vertices of degree at most 2
+empties, is answered before any offer: the all-singletons partition,
+crossed by all m edges.  Its every subgraph on s >= 2 vertices has at
+most 2s - 3 edges, so by Nash-Williams (1964) its edges split into two
+forests, no offer fails, and the offer loop would end at this same
+certificate; m <= 2n - 3 < 2(n - 1) leaves no room for two trees.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ class PackingOutcome:
     cert: PartitionCertificate | None = None
 
     def __post_init__(self) -> None:
-        assert (self.trees is None) != (self.cert is None)
+        # not an assert, so that ``python -O`` keeps the check
+        if (self.trees is None) == (self.cert is None):
+            raise ValueError("a packing outcome carries exactly one of trees and cert")
 
 
 def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
@@ -49,6 +58,9 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
     if not is_connected(g):
         raise Disconnected("packing certificates are defined for connected inputs")
     n = g.n
+    if _peels_to_empty(g):
+        singletons = tuple(frozenset((v,)) for v in range(n))
+        return PackingOutcome(cert=PartitionCertificate(singletons, g.m))
     forests: tuple[dict[int, set[int]], dict[int, set[int]]] = (
         {v: set() for v in range(n)},
         {v: set() for v in range(n)},
@@ -107,6 +119,24 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
     if len(t0) == n - 1 and len(t1) == n - 1:
         return PackingOutcome(trees=(t0, t1))
     return PackingOutcome(cert=_extract_certificate(g, failed))
+
+
+def _peels_to_empty(g: Graph) -> bool:
+    """Whether deleting a vertex of degree at most 2, again and again,
+    empties g: whether g is 2-degenerate.  One pass, O(n + m)."""
+    deg = [len(nbrs) for nbrs in g.adj]
+    stack = [v for v, d in enumerate(deg) if d <= 2]
+    # deg[w] is w's degree among the vertices not yet peeled, and a
+    # vertex is pushed once: at the start, or when its degree falls to 2
+    peeled = 0
+    while stack:
+        v = stack.pop()
+        peeled += 1
+        for w in g.adj[v]:
+            deg[w] -= 1
+            if deg[w] == 2:
+                stack.append(w)
+    return peeled == g.n
 
 
 def _extract_certificate(g: Graph, failed: list[tuple[Edge, set[Edge]]]) -> PartitionCertificate:

@@ -23,7 +23,7 @@ from oddspan.graph_core import (
     tree_bipartition,
 )
 from oddspan.oracle import enumerate_spanning_trees
-from oddspan.sweep import all_graphs, circulant
+from oddspan.sweep import all_connected_graphs, all_graphs, circulant
 
 
 def test_edge_normalizes_and_rejects_loops():
@@ -325,6 +325,25 @@ def test_diameter():
     assert diameter(cycle(8)) == 4
     with pytest.raises(Disconnected):
         diameter(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_diameter_matches_bfs_from_every_source():
+    def by_bfs(g):
+        return max(max(bfs_distances(g.adj, s)) for s in range(g.n))
+
+    checked = 0
+    for n in range(1, 7):
+        for g in all_connected_graphs(n):
+            assert diameter(g) == by_bfs(g), (n, sorted(g.edge_set()))
+            checked += 1
+    assert checked == 27476
+    diameters = set()
+    for i in range(120):
+        g = gen_random(2 + i % 59, 0.05 + 0.1 * (i % 9), i)
+        if is_connected(g):
+            diameters.add(diameter(g))
+            assert diameter(g) == by_bfs(g), i
+    assert len(diameters) >= 5
 
 
 def test_is_triangle_free():

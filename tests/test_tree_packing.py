@@ -1,5 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
+
+import pytest
 
 from common import complete, cycle, path
 from oddspan import tree_packing
@@ -46,6 +52,25 @@ def test_path_certificate():
     out = two_edge_disjoint_spanning_trees(path(5))
     assert out.trees is None
     assert verify_packing(path(5), out)
+
+
+@pytest.mark.parametrize("fields", ["", "trees=(frozenset(), frozenset()), cert=c"])
+def test_outcome_with_both_or_neither_side_is_refused_under_python_optimize(fields):
+    # the check must survive ``python -O``, which strips assert statements
+    script = (
+        "from oddspan.tree_packing import PackingOutcome, PartitionCertificate\n"
+        "c = PartitionCertificate(parts=(frozenset({0}),), cross_edges=0)\n"
+        f"PackingOutcome({fields})\n"
+    )
+    src = str(Path(tree_packing.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    assert done.stderr.endswith(
+        "ValueError: a packing outcome carries exactly one of trees and cert\n"
+    )
 
 
 def test_verify_packing_rejects_weak_certificate():
@@ -193,12 +218,27 @@ def _unpruned_pair_search(g):
     return None
 
 
-def test_packing_matches_offer_every_edge_on_small_graphs():
+def test_packing_matches_offer_every_edge_on_small_graphs(monkeypatch):
+    extracted = 0
+    extract = tree_packing._extract_certificate
+
+    def counted(g, failed):
+        nonlocal extracted
+        extracted += 1
+        return extract(g, failed)
+
+    monkeypatch.setattr(tree_packing, "_extract_certificate", counted)
     stopped_early = 0
     swapped = 0
+    peeled = 0
+    graphs = 0
     for n in range(2, 7):
         for g in all_connected_graphs(n):
+            graphs += 1
+            before = extracted
             out = two_edge_disjoint_spanning_trees(g)
+            # a certificate that skipped the extraction came from the peel
+            peeled += out.cert is not None and extracted == before
             edges = sorted(g.edge_set())
             ref, swaps = _offer_every_edge(g)
             assert out == ref, (n, edges)
@@ -206,10 +246,31 @@ def test_packing_matches_offer_every_edge_on_small_graphs():
             if out.trees is not None:
                 # the last edge either tree took comes before the last edge
                 stopped_early += max(map(edges.index, out.trees[0] | out.trees[1])) < g.m - 1
+    assert graphs == 27475
+    # 2-degenerate graphs are answered before the offer loop
+    assert peeled >= 20000
     assert stopped_early > 1000
     # augmentations that swap edges between forests are where the packing
     # keeps its component labels without a rebuild
     assert swapped > 1000
+
+
+def test_peel_leaves_graphs_with_a_failed_offer_to_the_loop():
+    # K5 minus (0, 1) with a pendant path: m = 11 < 2(n - 1) = 12, yet the
+    # offer of some K5 edge fails and keeps 0..4 in one part
+    g = Graph(7, [e for e in complete(5).edge_set() if e != (0, 1)] + [(4, 5), (5, 6)])
+    out = two_edge_disjoint_spanning_trees(g)
+    assert out.cert.parts == (frozenset(range(5)), frozenset({5}), frozenset({6}))
+    assert out.cert.cross_edges == 2
+    assert verify_packing(g, out)
+    # K4 with the path 3-4-5 is not 2-degenerate either, but no offer
+    # fails, so the loop ends at the singletons
+    g = Graph(6, list(complete(4).edge_set()) + [(3, 4), (4, 5)])
+    assert not tree_packing._peels_to_empty(g)
+    out = two_edge_disjoint_spanning_trees(g)
+    assert out.cert.parts == tuple(frozenset({v}) for v in range(6))
+    assert out.cert.cross_edges == 8
+    assert out == _offer_every_edge(g)[0]
 
 
 def test_packing_matches_offer_every_edge_seeded():
