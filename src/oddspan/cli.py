@@ -1,10 +1,11 @@
 """Command line front end: generate, decide, construct, verify, sweep.
 
-Graph wire format is a plain edge list: an ``n m`` header, then m lines
-``u v`` with 0-based vertex ids below n, LF separated, ``#`` starting a
-comment that runs to end of line.  Certificates are line oriented too:
-a ``VERDICT method`` header, then ``T u v`` witness edges, ``P name:a,b``
-vertex parts, ``R reason [args]``, and ``C k`` counts.
+Graph wire format is a plain edge list: an ``n m`` header with n at most
+``_MAX_VERTICES``, then m lines ``u v`` with 0-based vertex ids below n,
+LF separated, ``#`` starting a comment that runs to end of line.
+Certificates are line oriented too: a ``VERDICT method`` header, then
+``T u v`` witness edges, ``P name:a,b`` vertex parts, ``R reason [args]``,
+and ``C k`` counts.
 
 Exit codes: 0 EXISTS or plain success, 1 NOT_EXISTS, 2 UNKNOWN,
 64 usage, 65 bad input data, 70 internal invariant failure.
@@ -96,13 +97,23 @@ class Certificate(NamedTuple):
     verified: bool = False
 
 
+# The largest vertex count a graph text may declare.  The reader
+# allocates one neighbour set per vertex before it reads an edge, so a
+# short hostile header must not ask for millions.  The bound is far
+# above the sizes the constructions and the oracle are meant for.
+_MAX_VERTICES = 100_000
+
+
 def parse_graph(text: str) -> Graph:
-    """Strict edge-list reader; rejects self loops and repeated edges."""
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
+    """Strict edge-list reader; rejects self loops and repeated edges.
+
+    One pass over the edge lines checks each one and fills the neighbour
+    sets, which become the graph as they stand.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = [(lineno, parts) for lineno, parts in enumerate(map(str.split, lines), 1) if parts]
     if not rows:
         raise ParseError(1, "missing 'n m' header")
     lineno, head = rows[0]
@@ -114,10 +125,11 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(lineno, "header must be two integers 'n m'") from None
     if n < 0 or m < 0:
         raise ParseError(lineno, "negative count in header")
+    if n > _MAX_VERTICES:
+        raise ParseError(lineno, f"vertex count {n} above the limit {_MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise ParseError(lineno, f"header promises {m} edges, found {len(rows) - 1}")
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     for lineno, parts in rows[1:]:
         if len(parts) != 2:
             raise ParseError(lineno, "edge line must be two integers 'u v'")
@@ -129,12 +141,12 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(lineno, f"vertex id out of range 0..{n - 1}")
         if u == v:
             raise ParseError(lineno, f"self loop at {u}")
-        e = edge(u, v)
-        if e in seen:
-            raise ParseError(lineno, f"edge {e[0]} {e[1]} repeated")
-        seen.add(e)
-        edges.append(e)
-    return Graph(n, edges)
+        nu = nbrs[u]
+        if v in nu:
+            raise ParseError(lineno, f"edge {min(u, v)} {max(u, v)} repeated")
+        nu.add(v)
+        nbrs[v].add(u)
+    return Graph._from_neighbours(nbrs)
 
 
 def emit_graph(g: Graph) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import Disconnected, EmptyGraph, NotATree
 
@@ -68,8 +68,19 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        self.n = n
-        self.adj = tuple(frozenset(s) for s in nbrs)
+        self._freeze(nbrs)
+
+    @classmethod
+    def _from_neighbours(cls, nbrs: Sequence[AbstractSet[int]]) -> Graph:
+        """Trusted constructor: ``nbrs[u]`` already holds u's neighbours,
+        symmetric, in range and loop-free, so nothing is checked again."""
+        g = cls.__new__(cls)
+        g._freeze(nbrs)
+        return g
+
+    def _freeze(self, nbrs: Sequence[AbstractSet[int]]) -> None:
+        self.n = len(nbrs)
+        self.adj = tuple(map(frozenset, nbrs))
         self._edges: EdgeSet | None = None
 
     @property
@@ -158,15 +169,10 @@ def is_spanning_tree(t: EdgeSet, n: int) -> bool:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(
-        g.n,
-        (
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if v not in g.adj[u]
-        ),
-    )
+    """The graph on the same vertices whose edges are g's non-edges: each
+    neighbour set is every vertex less g's neighbours and the vertex itself."""
+    full = frozenset(range(g.n))
+    return Graph._from_neighbours([full - a - {u} for u, a in enumerate(g.adj)])
 
 
 def is_connected(g: Graph) -> bool:

@@ -67,10 +67,12 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
     )
     in_forest: dict[Edge, int] = {}
     failed: list[tuple[Edge, set[Edge]]] = []
-    # Component labels of both forests, kept up to date in place.  A
-    # failed offer changes neither forest; once both forests span, every
-    # later offer would fail, so the scan stops there.
+    # Component labels of both forests, kept up to date in place, and
+    # the members of each label.  A failed offer changes neither forest;
+    # once both forests span, every later offer would fail, so the scan
+    # stops there.
     comp = [list(range(n)), list(range(n))]
+    members = [[[v] for v in range(n)], [[v] for v in range(n)]]
 
     for e0 in sorted(g.edge_set()):
         if len(in_forest) == 2 * (n - 1):
@@ -95,11 +97,17 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
         # replacing each forest edge by the edge that wanted its slot.
         # Each swap puts f in place of an edge on f's path in that
         # forest, which keeps its components; only the insertion joins
-        # two components, of forest j.
+        # two components, of forest j.  The smaller one takes the larger
+        # one's label, so a vertex is relabelled O(log n) times in all.
         h, j = chain
-        cj = comp[j]
-        old, new = cj[h[1]], cj[h[0]]
-        comp[j] = [new if c == old else c for c in cj]
+        cj, mj = comp[j], members[j]
+        keep, gone = cj[h[0]], cj[h[1]]
+        if len(mj[keep]) < len(mj[gone]):
+            keep, gone = gone, keep
+        for v in mj[gone]:
+            cj[v] = keep
+        mj[keep] += mj[gone]
+        mj[gone] = []
         forests[j][h[0]].add(h[1])
         forests[j][h[1]].add(h[0])
         in_forest[h] = j

@@ -654,11 +654,114 @@ def test_seeded_graph_text_mutations_never_end_in_a_traceback(capsys, monkeypatc
     assert codes.keys() == {0, 1, 2, 65}
 
 
+# A frozen copy of the reader as it was when it checked every line first
+# and then built the graph from an edge list.  The one-pass reader must
+# give the same graph, or the same error on the same line.
+
+
+def _frozen_parse_graph(text):
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append((lineno, body.split()))
+    if not rows:
+        raise ParseError(1, "missing 'n m' header")
+    lineno, head = rows[0]
+    if len(head) != 2:
+        raise ParseError(lineno, "header must be two integers 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError(lineno, "header must be two integers 'n m'") from None
+    if n < 0 or m < 0:
+        raise ParseError(lineno, "negative count in header")
+    if len(rows) - 1 != m:
+        raise ParseError(lineno, f"header promises {m} edges, found {len(rows) - 1}")
+    seen = set()
+    edges = []
+    for lineno, parts in rows[1:]:
+        if len(parts) != 2:
+            raise ParseError(lineno, "edge line must be two integers 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(lineno, "edge line must be two integers 'u v'") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(lineno, f"vertex id out of range 0..{n - 1}")
+        if u == v:
+            raise ParseError(lineno, f"self loop at {u}")
+        e = graph_core.edge(u, v)
+        if e in seen:
+            raise ParseError(lineno, f"edge {e[0]} {e[1]} repeated")
+        seen.add(e)
+        edges.append(e)
+    return Graph(n, edges)
+
+
+def _parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    return "graph", g.n, g.adj
+
+
+# Whitespace that str.split() and str.strip() both drop, line breaks that
+# only str.splitlines() knows, int() spellings beyond ASCII digits, and
+# comments anywhere.
+_ODD_TEXTS = [
+    "", "\n", "   \n\t\n", "# only a comment\n", "#\n#\n", "2 1 #\n0 1#x\n",
+    "2\t1\n0\t1\n", "2\x0b1\n0 1\n", "2 1\x0b0 1\n", "2 1\x1c0 1\n", "2 1\x1c\x1c0 1\n",
+    "2 1\x85 0 1\n", "2 1\u20280 1\u2029", "2\xa01\n0\u30001\n", "\x1f2 1\x1e\n0 1\n",
+    "\x0c2 1\r\n0 1\r\n", "\r\n2 1\r\r\n0 1\n", "+2 1\n0 +1\n", "1_0 1\n0 9\n",
+    "\u0662 \u0661\n\u0660 \u0661\n", "\uff12 1\n0 1\n", "2 1\n0 1 # 0 1\n",
+    "2 1\n# 0 1\n0 1\n", "3 2\n0 1 #\n1 0\n", "2 1\n0 1 1\n", "2 1\n0\n",
+    "2 1 1\n0 1\n", "2\n", "2 x\n", "-0 0\n", "2 -1\n", "1 0\n# 0 0\n",
+]
+
+
+def test_parse_graph_matches_the_frozen_reader():
+    rng = random.Random(22)
+    texts = list(_ODD_TEXTS)
+    for _ in range(3000):
+        g = gen_random(rng.randint(1, 10), rng.random(), rng.randrange(100))
+        texts.append(_mutate_graph_text(rng, emit_graph(g)))
+    kinds = Counter()
+    for text in texts:
+        want = _parse_outcome(_frozen_parse_graph, text)
+        assert _parse_outcome(parse_graph, text) == want, text
+        kinds[want[0]] += 1
+    assert kinds["graph"] > 500 and kinds["error"] > 1500
+
+
+def test_parse_graph_never_calls_graph_init(monkeypatch):
+    calls = []
+    init = Graph.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    texts = [C4, P6, K4, K6, "0 0\n", "1 0\n", emit_graph(gen_random(40, 0.5, 3))]
+    want = [_frozen_parse_graph(text) for text in texts]
+    monkeypatch.setattr(Graph, "__init__", spy)
+    assert [parse_graph(text) for text in texts] == want
+    assert calls == []
+
+
+def test_parse_graph_bounds_the_vertex_count():
+    assert parse_graph(f"{cli._MAX_VERTICES} 1\n0 1\n").n == cli._MAX_VERTICES
+    with pytest.raises(ParseError, match=f"^line 2: vertex count {cli._MAX_VERTICES + 1} above"):
+        parse_graph(f"# big\n{cli._MAX_VERTICES + 1} 0\n")
+
+
 def test_exit_codes_for_bad_input(capsys):
     cases = [
         (("check",), "3 1\n0 0\n", "error: line 2: self loop at 0"),
         (("check",), "2 2\n0 1\n1 0\n", "error: line 3: edge 0 1 repeated"),
         (("check",), "x\n", "error: line 1: header must be two integers 'n m'"),
+        (("check",), "50000000 0\n", "error: line 1: vertex count 50000000 above the limit 100000"),
         (("check",), "0 0\n", "error: no vertices"),
         (("construct", "--dense"), "4 3\n0 1\n0 2\n0 3\n",
          "error: minimum degree 1 below required bound 3"),

@@ -80,6 +80,40 @@ def test_complement_involution_seeded():
         assert complement(complement(g)) == g
 
 
+def _pair_loop_complement(g):
+    return Graph(g.n, ((u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in g.adj[u]))
+
+
+def test_complement_matches_the_pair_loop():
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
+    graphs += [gen_random(2 + i % 59, 0.1 * (i % 11), i) for i in range(300)]
+    for g in graphs:
+        h = complement(g)
+        want = _pair_loop_complement(g)
+        assert h == want and hash(h) == hash(want), (g.n, sorted(g.edge_set()))
+        assert h.edge_set() == want.edge_set()
+        assert all(type(a) is frozenset for a in h.adj)
+
+
+def test_trusted_constructor_equals_the_checked_one():
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [gen_random(2 + i % 59, 0.1 * (i % 11), i) for i in range(100)]
+    for g in graphs:
+        edges = sorted(g.edge_set())
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        trusted = Graph._from_neighbours(nbrs)
+        checked = Graph(g.n, edges)
+        assert trusted._edges is None
+        assert trusted == checked and checked == trusted
+        assert hash(trusted) == hash(checked)
+        assert trusted.edge_set() == checked.edge_set() == frozenset(edges)
+        assert trusted.n == g.n and all(type(a) is frozenset for a in trusted.adj)
+
+
 def test_complement_counts():
     g = complement(complete(4))
     assert g.m == 0

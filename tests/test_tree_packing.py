@@ -286,6 +286,17 @@ def test_packing_matches_offer_every_edge_seeded():
     assert outcomes == {True, False}
 
 
+def test_packing_matches_offer_every_edge_on_moebius_ladders():
+    # cubic and not 2-degenerate, so every edge goes through the offer
+    # loop, and forest components of many sizes merge
+    for n in range(6, 61, 6):
+        g = Graph(n, [(v, (v + 1) % n) for v in range(n)] + [(v, v + n // 2) for v in range(n // 2)])
+        assert not tree_packing._peels_to_empty(g)
+        out = two_edge_disjoint_spanning_trees(g)
+        assert out == _offer_every_edge(g)[0], n
+        assert verify_packing(g, out)
+
+
 def test_pair_search_matches_unpruned_on_small_graphs():
     pruned = 0
     for n in range(2, 7):
