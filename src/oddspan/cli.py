@@ -192,7 +192,8 @@ def parse_certificate(text: str) -> Certificate:
                 raise ParseError(lineno, "expected 'VERDICT method' header")
             header = (bits[0], bits[1])
             continue
-        tag, _, rest = body.partition(" ")
+        tag, *tail = body.split(None, 1)  # the tag ends at any whitespace, as in the header
+        rest = tail[0] if tail else ""
         key: object = None
         try:
             if tag == "T":

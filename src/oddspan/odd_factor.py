@@ -5,7 +5,8 @@ tree by folding in second-tree paths between paired even-degree
 vertices.  Symmetric differences flip degree parity exactly at the path
 endpoints, and the repaired factor still contains the first tree, so
 connectivity is inherited.  The factor is returned unchecked; the CLI
-and the sweep verify it with ``oracle.verify_connected_odd_factor``.
+verifies it through ``cli.recheck`` before it becomes an answer, and the
+sweep checks it through that same path.
 Without a packing the answer is the packing's partition certificate.
 """
 

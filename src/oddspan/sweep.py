@@ -1,20 +1,31 @@
 """Exhaustive and seeded verification universes.
 
-Each sweep pits a constructive module against the brute-force oracle
-over a full labeled universe at small n plus a deterministic seeded
-sample at larger n, and returns a report whose disagreement list must
-stay empty.  Workers > 1 distributes cases over a process pool; the
-merge is by case order, so reports are identical at any worker count.
+Each sweep runs a checker over a full labeled universe at small n plus a
+deterministic seeded sample at larger n, and returns a report whose
+disagreement list must stay empty.
+
+The dense, split, trifree and factor universes each check one
+``cli.METHODS`` entry through the path that ``check``, ``construct`` and
+``verify`` use.  ``cli.run_method`` answers, and its EXISTS witness is
+verified where it is built.  Every other answer must pass
+``cli.recheck``, an UNKNOWN answer is a disagreement, and a NOT_EXISTS
+answer must agree with the tree oracle within its cap.  Verdicts are
+tallied as ``VERDICT method``.  The packing and bipartition universes
+check library lemmas, with checkers of their own.
+
+Workers > 1 distributes cases over a process pool; the merge is by case
+order, so reports are identical at any worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
-from .dense_tree import odd_spanning_tree_dense
-from .errors import Disconnected, OddOrder
+from .errors import Disconnected
 from .families import (
     gen_complete_bipartite,
     gen_complete_bipartite_minus_edge,
@@ -24,35 +35,22 @@ from .families import (
 )
 from .graph_core import (
     Edge,
+    EdgeSet,
     Graph,
     bipartition,
     complement,
+    degrees,
     edge,
     edge_connectivity_at_least,
     is_connected,
     is_triangle_free,
     tree_bipartition,
 )
-from .odd_factor import connected_odd_factor
-from .oracle import (
-    ODD_FACTOR_EDGE_CAP,
-    ODD_TREE_VERTEX_CAP,
-    enumerate_spanning_trees,
-    find_connected_odd_factor_bruteforce,
-    find_odd_spanning_tree_bruteforce,
-    verify_connected_odd_factor,
-    verify_odd_spanning_tree,
-)
-from .split import find_split_partition, split_no_tree_condition, split_odd_spanning_tree
-from .tree_packing import (
-    PartitionCertificate,
-    exhaustive_pair_search,
-    two_edge_disjoint_spanning_trees,
-    verify_packing,
-)
+from .oracle import ODD_TREE_VERTEX_CAP, enumerate_spanning_trees, find_odd_spanning_tree_bruteforce
+from .split import find_split_partition
+from .tree_packing import exhaustive_pair_search, two_edge_disjoint_spanning_trees, verify_packing
 from .trifree import trifree_complement_tree
 
-Case = tuple[int, tuple[Edge, ...]]
 # what a checker found on one case: (disagreement, verdict, coverage shape)
 Outcome = tuple[str | None, str | None, str | None]
 
@@ -93,9 +91,10 @@ def all_graphs(n: int) -> Iterator[Graph]:
         yield Graph(n, (p for i, p in enumerate(ps) if mask >> i & 1))
 
 
-def connected_cases(n: int) -> Iterator[Case]:
-    """Every connected labeled graph on 0..n-1 as a case, in the order of
-    ``all_graphs``; the edges of a mask come out sorted."""
+def all_connected_graphs(n: int) -> Iterator[Graph]:
+    """Every connected labeled graph on 0..n-1, in the order of
+    ``all_graphs``; reachability is tested on vertex bitmasks, so only
+    the connected ones are built."""
     ps = _pairs(n)
     full = (1 << n) - 1
     for mask in range(1 << len(ps)):
@@ -115,11 +114,7 @@ def connected_cases(n: int) -> Iterator[Case]:
             seen |= new
             todo |= new
         if seen == full:
-            yield (n, tuple(p for i, p in enumerate(ps) if mask >> i & 1))
-
-
-def all_connected_graphs(n: int) -> Iterator[Graph]:
-    return (Graph(*case) for case in connected_cases(n))
+            yield Graph(n, (p for i, p in enumerate(ps) if mask >> i & 1))
 
 
 def circulant(n: int, steps: tuple[int, ...]) -> Graph:
@@ -201,11 +196,7 @@ def crafted_trifree_instances() -> list[tuple[str, Graph, str]]:
     ]
 
 
-def _case(g: Graph) -> Case:
-    return (g.n, tuple(sorted(g.edge_set())))
-
-
-def _seeded(draw, keep, want: int) -> list[Case]:
+def _seeded(draw, keep, want: int) -> list[Graph]:
     """Deterministic stream: the first ``want`` graphs ``draw(i)`` that ``keep`` accepts."""
     out = []
     i = 0
@@ -214,11 +205,15 @@ def _seeded(draw, keep, want: int) -> list[Case]:
         g = draw(i)
         i += 1
         if keep(g):
-            out.append(_case(g))
+            out.append(g)
     return out
 
 
-def _report(title: str, checker, cases: list[Case], workers: int) -> SweepReport:
+def _where(g: Graph) -> str:
+    return f"n={g.n} edges={tuple(sorted(g.edge_set()))}"
+
+
+def _report(title: str, checker, cases: list[Graph], workers: int) -> SweepReport:
     """Run ``checker`` on every case and tally its outcomes; a None
     verdict or shape leaves the case out of that count."""
     if workers <= 1 or len(cases) < 64:
@@ -238,13 +233,44 @@ def _report(title: str, checker, cases: list[Case], workers: int) -> SweepReport
     return rep
 
 
-def _dense_case(case: Case) -> Outcome:
-    n, edges = case
-    g = Graph(n, edges)
-    rep = verify_odd_spanning_tree(g, odd_spanning_tree_dense(g))
-    if not rep.ok:
-        return (f"bad dense tree on n={n} edges={edges}: {rep}", None, None)
-    return (None, "tree", None)
+class _Row(NamedTuple):
+    """One method universe: the ``cli.METHODS`` names to run, whether they
+    run on the complement of each case, and the paper's extra property of
+    an EXISTS tree, which maps (case, tree) to (failure, coverage shape)."""
+
+    names: tuple[str, ...]
+    on_complement: bool = False
+    extra: Callable[[Graph, EdgeSet], tuple[str | None, str | None]] | None = None
+
+
+def _oracle_finds_tree(g: Graph) -> bool:
+    return g.n <= ODD_TREE_VERTEX_CAP and is_connected(g) and (
+        find_odd_spanning_tree_bruteforce(g) is not None
+    )
+
+
+def _method_case(row: _Row, case: Graph) -> Outcome:
+    """Answer the case through ``cli.run_method`` and check the answer."""
+    from . import cli  # at call time: cli imports this module for its sweep flags
+
+    g = complement(case) if row.on_complement else case
+    try:
+        cert = cli.run_method(g, *row.names)
+    except AssertionError as exc:  # a witness that failed verification where it was built
+        return (f"{exc} on {_where(case)}", None, None)
+    verdict = f"{cert.verdict} {cert.method}"
+    shape = None
+    failure = None if cert.verified else cli.recheck(g, cert)
+    if failure is None:
+        if cert.verdict == cli.UNKNOWN:
+            failure = "no answer"
+        elif cert.verdict == cli.NOT_EXISTS and _oracle_finds_tree(g):
+            failure = "the oracle finds a tree"
+        elif cert.verdict == cli.EXISTS and row.extra is not None:
+            failure, shape = row.extra(case, cert.edges)
+    if failure is None:
+        return (None, verdict, shape)
+    return (f"{verdict} fails: {failure} on {_where(case)}", verdict, shape)
 
 
 def _dense_enough(g: Graph) -> bool:
@@ -255,39 +281,18 @@ def _dense_enough(g: Graph) -> bool:
 def sweep_dense(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Greedy tree on every dense-enough graph: small-n exhaustive plus
     a seeded slice at n in 8..12."""
-    cases = [_case(g) for n in range(2, max_n + 1, 2) for g in all_graphs(n) if _dense_enough(g)]
+    cases = [g for n in range(2, max_n + 1, 2) for g in all_graphs(n) if _dense_enough(g)]
     cases += _seeded(lambda i: gen_random((8, 10, 12)[i % 3], 0.85, i), _dense_enough, seeded)
     title = f"dense min-degree graphs, exhaustive n<={max_n} plus {seeded} seeded"
-    return _report(title, _dense_case, cases, workers)
+    return _report(title, partial(_method_case, _Row(("dense",))), cases, workers)
 
 
-def _split_case(case: Case) -> Outcome:
-    n, edges = case
-    g = Graph(n, edges)
-    sp = find_split_partition(g)
-    assert sp is not None and len(sp.y) >= 2
-    if n % 2:
-        try:
-            split_no_tree_condition(g, sp)
-            return (f"odd order accepted by condition: n={n} edges={edges}", "odd-order", None)
-        except OddOrder:
-            # no odd spanning tree at odd order, by the handshake lemma
-            return (None, "odd-order", None)
-    cond = split_no_tree_condition(g, sp)
-    oracle_none = find_odd_spanning_tree_bruteforce(g) is None
-    if cond != oracle_none:
-        failure = f"criterion {cond} vs oracle none={oracle_none} on n={n} edges={edges}"
-        return (failure, "mismatch", None)
-    if cond:
-        return (None, "nonexistent", None)
-    tree = split_odd_spanning_tree(g, sp)
-    rep = verify_odd_spanning_tree(g, tree)
-    if not rep.ok:
-        return (f"bad split tree on n={n} edges={edges}: {rep}", "tree", None)
-    leafy = all(sum(1 for e in tree if x in e) == 1 for x in sp.x)
-    if not leafy:
-        return (f"independent-side vertex is not a leaf on n={n} edges={edges}", "tree", None)
-    return (None, "tree", None)
+def _leafy(g: Graph, tree: EdgeSet) -> tuple[str | None, None]:
+    """The split tree hangs every independent-side vertex as a leaf."""
+    deg = degrees(tree, g.n)
+    if all(deg[x] == 1 for x in find_split_partition(g).x):
+        return (None, None)
+    return ("an independent-side vertex is not a leaf", None)
 
 
 def _wide_split(g: Graph) -> bool:
@@ -297,9 +302,7 @@ def _wide_split(g: Graph) -> bool:
 
 def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Criterion-vs-oracle equivalence on split graphs with |Y| >= 2."""
-    cases = [
-        c for n in range(2, max_n + 1) for c in connected_cases(n) if _wide_split(Graph(*c))
-    ]
+    cases = [g for n in range(2, max_n + 1) for g in all_connected_graphs(n) if _wide_split(g)]
     grid = [(s, t) for s in range(1, 7) for t in range(2, 6) if (s + t) % 2 == 0]
     ps = (0.3, 0.6, 0.9)
 
@@ -309,28 +312,13 @@ def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
 
     cases += _seeded(draw, is_connected, seeded)
     title = f"connected split graphs, exhaustive n<={max_n} plus {seeded} seeded"
-    return _report(title, _split_case, cases, workers)
+    return _report(title, partial(_method_case, _Row(("split",), extra=_leafy)), cases, workers)
 
 
-def _trifree_case(case: Case) -> Outcome:
-    n, edges = case
-    g = Graph(n, edges)
-    decision = trifree_complement_tree(g)
-    gbar = complement(g)
-    if n <= ODD_TREE_VERTEX_CAP:
-        if not is_connected(gbar):
-            oracle_exists = False
-        else:
-            oracle_exists = find_odd_spanning_tree_bruteforce(gbar) is not None
-        if decision.exists != oracle_exists:
-            failure = f"decision {decision.exists} vs oracle {oracle_exists} on n={n} edges={edges}"
-            return (failure, None, None)
-    if not decision.exists:
-        return (None, "excluded", None)
-    rep = verify_odd_spanning_tree(gbar, decision.tree)
-    if not rep.ok:
-        return (f"bad tree on n={n} edges={edges}: {rep}", None, None)
-    return (None, "exists", decision.tree_id)
+def _trifree_branch(h: Graph, tree: EdgeSet) -> tuple[None, str | None]:
+    """The construction branch that builds the tree, for the coverage tally;
+    the certificate does not carry it, so the decision is made again."""
+    return (None, trifree_complement_tree(h).tree_id)
 
 
 def sweep_trifree(seeded: int = 300, workers: int = 1, max_n: int = 6) -> SweepReport:
@@ -340,51 +328,32 @@ def sweep_trifree(seeded: int = 300, workers: int = 1, max_n: int = 6) -> SweepR
     max_n, the crafted per-branch instances, and seeded triangle-free
     samples at n = 8.
     """
-    cases = [
-        _case(g) for n in range(2, max_n + 1, 2) for g in all_graphs(n) if is_triangle_free(g)
-    ]
-    cases += [_case(g) for _, g, _ in crafted_trifree_instances()]
+    cases = [g for n in range(2, max_n + 1, 2) for g in all_graphs(n) if is_triangle_free(g)]
+    cases += [g for _, g, _ in crafted_trifree_instances()]
     cases += _seeded(lambda i: gen_random(8, 0.3, i), is_triangle_free, seeded)
     title = f"triangle-free graphs, exhaustive even n<={max_n} plus crafted plus {seeded} seeded"
-    return _report(title, _trifree_case, cases, workers)
+    row = _Row(("trifree",), on_complement=True, extra=_trifree_branch)
+    return _report(title, partial(_method_case, row), cases, workers)
 
 
-def _packing_case(case: Case) -> Outcome:
-    n, edges = case
-    g = Graph(n, edges)
+def _packing_case(g: Graph) -> Outcome:
     outcome = two_edge_disjoint_spanning_trees(g)
     if not verify_packing(g, outcome):
-        return (f"packing outcome fails verification on n={n} edges={edges}", "invalid", None)
+        return (f"packing outcome fails verification on {_where(g)}", "invalid", None)
     if outcome.trees is not None:
         return (None, "trees", None)
     if exhaustive_pair_search(g) is not None:
-        failure = f"certificate issued but a disjoint pair exists on n={n} edges={edges}"
+        failure = f"certificate issued but a disjoint pair exists on {_where(g)}"
         return (failure, "certificate", None)
     if edge_connectivity_at_least(g, 4):
-        failure = f"4-edge-connected graph got a certificate: n={n} edges={edges}"
-        return (failure, "certificate", None)
+        return (f"4-edge-connected graph got a certificate: {_where(g)}", "certificate", None)
     return (None, "certificate", None)
 
 
 def sweep_packing(workers: int = 1, max_n: int = 6) -> SweepReport:
     """Tree packing vs exhaustive pair search on all connected graphs."""
-    cases = [c for n in range(2, max_n + 1) for c in connected_cases(n)]
+    cases = [g for n in range(2, max_n + 1) for g in all_connected_graphs(n)]
     return _report(f"connected graphs n<={max_n}", _packing_case, cases, workers)
-
-
-def _factor_case(case: Case) -> Outcome:
-    n, edges = case
-    g = Graph(n, edges)
-    factor = connected_odd_factor(g)
-    if isinstance(factor, PartitionCertificate):
-        return (f"no tree packing on 4-edge-connected n={n} edges={edges}", None, None)
-    rep = verify_connected_odd_factor(g, factor)
-    if not rep.ok:
-        return (f"bad factor on n={n} edges={edges}: {rep}", None, None)
-    if g.m <= ODD_FACTOR_EDGE_CAP:
-        if find_connected_odd_factor_bruteforce(g) is None:
-            return (f"oracle denies any factor on n={n} edges={edges}", None, None)
-    return (None, "factor", None)
 
 
 def sweep_factor(seeded: int = 100, workers: int = 1) -> SweepReport:
@@ -401,29 +370,25 @@ def sweep_factor(seeded: int = 100, workers: int = 1) -> SweepReport:
     def draw(i: int) -> Graph:
         return gen_random(grid[i % len(grid)], ps[(i // len(grid)) % len(ps)], i)
 
-    cases = [_case(g) for g in named]
-    cases += _seeded(draw, lambda g: edge_connectivity_at_least(g, 4), seeded)
+    cases = named + _seeded(draw, lambda g: edge_connectivity_at_least(g, 4), seeded)
     title = f"named 4-edge-connected graphs plus {seeded} seeded"
-    return _report(title, _factor_case, cases, workers)
+    return _report(title, partial(_method_case, _Row(("factor",))), cases, workers)
 
 
-def _bipartition_case(case: Case) -> Outcome:
-    n, edges = case
-    g = Graph(n, edges)
+def _bipartition_case(g: Graph) -> Outcome:
     bp = bipartition(g)
     if bp is not None:
         want = bp.unordered()
         for t in enumerate_spanning_trees(g):
-            if tree_bipartition(t, n).unordered() != want:
-                return (f"tree {sorted(t)} disagrees on n={n} edges={edges}", "bipartite", None)
+            if tree_bipartition(t, g.n).unordered() != want:
+                return (f"tree {sorted(t)} disagrees on {_where(g)}", "bipartite", None)
         return (None, "bipartite", None)
     seen: set[frozenset[frozenset[int]]] = set()
     for t in enumerate_spanning_trees(g):
-        seen.add(tree_bipartition(t, n).unordered())
+        seen.add(tree_bipartition(t, g.n).unordered())
         if len(seen) >= 2:
             return (None, "non-bipartite", None)
-    failure = f"non-bipartite graph with a forced partition: n={n} edges={edges}"
-    return (failure, "non-bipartite", None)
+    return (f"non-bipartite graph with a forced partition: {_where(g)}", "non-bipartite", None)
 
 
 def _non_bipartite(g: Graph) -> bool:
@@ -436,7 +401,7 @@ def _non_bipartite(g: Graph) -> bool:
 def sweep_bipartition(seeded: int = 200, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Spanning trees of bipartite graphs all inherit the bipartition;
     non-bipartite graphs always exhibit two differing tree partitions."""
-    cases = [c for n in range(2, max_n + 1) for c in connected_cases(n)]
+    cases = [g for n in range(2, max_n + 1) for g in all_connected_graphs(n)]
     ps = (0.3, 0.5, 0.7)
     cases += _seeded(lambda i: gen_random(7, ps[i % len(ps)], i), _non_bipartite, seeded)
     title = f"connected graphs n<={max_n} plus {seeded} seeded non-bipartite n=7"

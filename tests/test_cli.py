@@ -137,6 +137,21 @@ def test_parse_certificate_strips_comments():
     assert info.value.line == 1
 
 
+def test_parse_certificate_takes_tabs_after_each_tag():
+    # a body line's tag ends at any whitespace, as the header's verdict does
+    texts = [
+        emit_certificate(decide(parse_graph(K4))),  # T lines
+        emit_certificate(decide(parse_graph(C4))),  # P and R lines
+        emit_certificate(run_method(parse_graph(P6), "factor")),  # P, R and C lines
+        emit_certificate(decide(parse_graph(P5))),  # R with an argument
+    ]
+    assert {line[0] for text in texts for line in text.splitlines()[1:]} == set("TPRC")
+    for text in texts:
+        header, body = text.split("\n", 1)
+        tabbed = header + "\n" + body.replace(" ", "\t")
+        assert parse_certificate(tabbed) == parse_certificate(text), tabbed
+
+
 @pytest.mark.parametrize(
     "line",
     ["T 0 x", "T 0", "T 0 1 2", "T 1.5 2", "T 2 2", "P left:0,a", "P left:0;1", "C many", "C"],
@@ -854,38 +869,64 @@ def test_sweep_golden(capsys, monkeypatch, case):
 
 
 def test_sweep_failures_are_reported_and_counted(monkeypatch):
-    # split counts a failing case's verdict; dense does not
+    # one kind of disagreement per block, from a cli binding broken on one
+    # graph; a case that still has an answer counts its verdict
     k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    real_split = sweep.split_odd_spanning_tree
+    on_k4 = f"on n=4 edges={tuple(sorted(k4.edge_set()))}"
+    real_dense, real_split = cli.odd_spanning_tree_dense, cli.split_odd_spanning_tree
+    split_head = ["universe connected split graphs, exhaustive n<=4 plus 0 seeded", "checked 40"]
 
-    def broken_split(g, sp):
-        return frozenset() if g == k4 else real_split(g, sp)
+    with monkeypatch.context() as m:  # a bad EXISTS witness
+        m.setattr(cli, "odd_spanning_tree_dense",
+                  lambda g: frozenset() if g == k4 else real_dense(g))
+        assert sweep.sweep_dense(seeded=2, max_n=4).lines() == [
+            "universe dense min-degree graphs, exhaustive n<=4 plus 2 seeded",
+            "checked 3",
+            "verdict EXISTS dense-min-degree 2",
+            "disagreements 1",
+            f"constructed witness failed verification: wrong-edge-count {on_k4}",
+        ]
 
-    real_dense = sweep.odd_spanning_tree_dense
+    with monkeypatch.context() as m:  # a NOT_EXISTS witness that fails recheck
+        m.setattr(cli, "split_odd_spanning_tree",
+                  lambda g, sp: None if g == k4 else real_split(g, sp))
+        assert sweep.sweep_split(seeded=0, max_n=4).lines() == split_head + [
+            "verdict EXISTS split-criterion 23",
+            "verdict NOT_EXISTS odd-order 4",
+            "verdict NOT_EXISTS split-criterion 13",
+            "disagreements 1",
+            f"NOT_EXISTS split-criterion fails: witness-rejected {on_k4}",
+        ]
+        # the same answer with a recheck that accepts it: the oracle refutes it
+        m.setattr(cli, "check_nonexistence", lambda g, why: True)
+        assert sweep.sweep_split(seeded=0, max_n=4).lines()[-1] == (
+            f"NOT_EXISTS split-criterion fails: the oracle finds a tree {on_k4}"
+        )
 
-    def broken_dense(g):
-        return frozenset() if g == k4 else real_dense(g)
+    with monkeypatch.context() as m:  # an UNKNOWN answer: the oracle caps out at n = 12
+        m.setitem(cli.METHODS, "dense", cli._oracle)
+        lines = sweep.sweep_dense(seeded=3, max_n=0).lines()
+        assert lines[1:5] == [
+            "checked 3",
+            "verdict EXISTS oracle-exhaustive 2",
+            "verdict UNKNOWN oracle-capped 1",
+            "disagreements 1",
+        ]
+        assert lines[5].startswith("UNKNOWN oracle-capped fails: no answer on n=12 edges=")
 
-    monkeypatch.setattr(sweep, "split_odd_spanning_tree", broken_split)
-    monkeypatch.setattr(sweep, "odd_spanning_tree_dense", broken_dense)
-    k4_edges = "((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))"
-    assert sweep.sweep_split(seeded=0, max_n=4).lines() == [
-        "universe connected split graphs, exhaustive n<=4 plus 0 seeded",
-        "checked 40",
-        "verdict nonexistent 12",
-        "verdict odd-order 4",
-        "verdict tree 24",
+    # a verified split tree in which the independent-side vertex 5 is no leaf
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    k5_and_5 = Graph(6, k5 + [(0, 5), (1, 5), (2, 5)])
+    star = frozenset({(0, 5), (1, 5), (2, 5), (0, 3), (0, 4)})
+    monkeypatch.setattr(sweep, "all_connected_graphs", lambda n: iter([k5_and_5] if n == 6 else []))
+    monkeypatch.setattr(cli, "split_odd_spanning_tree", lambda g, sp: star)
+    edges = tuple(sorted(k5_and_5.edge_set()))
+    assert sweep.sweep_split(seeded=0, max_n=6).lines()[1:] == [
+        "checked 1",
+        "verdict EXISTS split-criterion 1",
         "disagreements 1",
-        f"bad split tree on n=4 edges={k4_edges}: "
-        "VerifyReport(ok=False, failure='wrong-edge-count', vertex=None)",
-    ]
-    assert sweep.sweep_dense(seeded=2, max_n=4).lines() == [
-        "universe dense min-degree graphs, exhaustive n<=4 plus 2 seeded",
-        "checked 3",
-        "verdict tree 2",
-        "disagreements 1",
-        f"bad dense tree on n=4 edges={k4_edges}: "
-        "VerifyReport(ok=False, failure='wrong-edge-count', vertex=None)",
+        "EXISTS split-criterion fails: an independent-side vertex is not a leaf "
+        f"on n=6 edges={edges}",
     ]
 
 

@@ -130,6 +130,22 @@ def test_find_factor_frozen():
     assert f is not None and verify_connected_odd_factor(gen_complete_bipartite(3, 3), f).ok
 
 
+def test_find_factor_on_the_factor_universe(monkeypatch):
+    # the factor sweep verifies its factors and no longer asks this oracle,
+    # so its completeness is checked here on the same graphs
+    from oddspan import sweep
+
+    cases = []
+    monkeypatch.setattr(sweep, "_report", lambda title, checker, gs, workers: cases.extend(gs))
+    sweep.sweep_factor()
+    small = [g for g in cases if g.m <= ODD_FACTOR_EDGE_CAP]
+    assert small[:3] == [complete(6), gen_complete_bipartite(4, 4), sweep.circulant(8, (1, 2))]
+    assert len(small) > 3
+    for g in small:
+        f = find_connected_odd_factor_bruteforce(g)
+        assert f is not None and verify_connected_odd_factor(g, f).ok, g
+
+
 def test_size_caps():
     with pytest.raises(SizeCap):
         find_odd_spanning_tree_bruteforce(path(ODD_TREE_VERTEX_CAP + 1))
