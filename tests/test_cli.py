@@ -874,7 +874,6 @@ def test_sweep_failures_are_reported_and_counted(monkeypatch):
     k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     on_k4 = f"on n=4 edges={tuple(sorted(k4.edge_set()))}"
     real_dense, real_split = cli.odd_spanning_tree_dense, cli.split_odd_spanning_tree
-    split_head = ["universe connected split graphs, exhaustive n<=4 plus 0 seeded", "checked 40"]
 
     with monkeypatch.context() as m:  # a bad EXISTS witness
         m.setattr(cli, "odd_spanning_tree_dense",
@@ -890,7 +889,9 @@ def test_sweep_failures_are_reported_and_counted(monkeypatch):
     with monkeypatch.context() as m:  # a NOT_EXISTS witness that fails recheck
         m.setattr(cli, "split_odd_spanning_tree",
                   lambda g, sp: None if g == k4 else real_split(g, sp))
-        assert sweep.sweep_split(seeded=0, max_n=4).lines() == split_head + [
+        assert sweep.sweep_split(seeded=0, max_n=4).lines() == [
+            "universe connected split graphs, exhaustive n<=4 plus 0 seeded",
+            "checked 40",
             "verdict EXISTS split-criterion 23",
             "verdict NOT_EXISTS odd-order 4",
             "verdict NOT_EXISTS split-criterion 13",

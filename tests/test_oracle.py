@@ -131,8 +131,8 @@ def test_find_factor_frozen():
 
 
 def test_find_factor_on_the_factor_universe(monkeypatch):
-    # the factor sweep verifies its factors and no longer asks this oracle,
-    # so its completeness is checked here on the same graphs
+    # the factor sweep accepts a verified factor without asking this oracle,
+    # so the oracle's completeness on those graphs is checked here
     from oddspan import sweep
 
     cases = []
