@@ -47,7 +47,7 @@ from .graph_core import (
     tree_bipartition,
 )
 from .oracle import ODD_TREE_VERTEX_CAP, enumerate_spanning_trees, find_odd_spanning_tree_bruteforce
-from .split import find_split_partition
+from .split import find_split_partition, split_no_tree_condition
 from .tree_packing import exhaustive_pair_search, two_edge_disjoint_spanning_trees, verify_packing
 from .trifree import trifree_complement_tree
 
@@ -234,12 +234,11 @@ def _report(title: str, checker, cases: list[Graph], workers: int) -> SweepRepor
 
 
 class _Row(NamedTuple):
-    """One method universe: the ``cli.METHODS`` names to run, whether they
-    run on the complement of each case, and the paper's extra property of
-    an EXISTS tree, which maps (case, tree) to (failure, coverage shape)."""
+    """One method universe: the ``cli.METHODS`` names to run, and the
+    paper's extra property of an EXISTS tree, which maps (case, tree) to
+    (failure, coverage shape)."""
 
     names: tuple[str, ...]
-    on_complement: bool = False
     extra: Callable[[Graph, EdgeSet], tuple[str | None, str | None]] | None = None
 
 
@@ -249,15 +248,14 @@ def _oracle_finds_tree(g: Graph) -> bool:
     )
 
 
-def _method_case(row: _Row, case: Graph) -> Outcome:
+def _method_case(row: _Row, g: Graph) -> Outcome:
     """Answer the case through ``cli.run_method`` and check the answer."""
     from . import cli  # at call time: cli imports this module for its sweep flags
 
-    g = complement(case) if row.on_complement else case
     try:
         cert = cli.run_method(g, *row.names)
     except AssertionError as exc:  # a witness that failed verification where it was built
-        return (f"{exc} on {_where(case)}", None, None)
+        return (f"{exc} on {_where(g)}", None, None)
     verdict = f"{cert.verdict} {cert.method}"
     shape = None
     failure = None if cert.verified else cli.recheck(g, cert)
@@ -267,10 +265,10 @@ def _method_case(row: _Row, case: Graph) -> Outcome:
         elif cert.verdict == cli.NOT_EXISTS and _oracle_finds_tree(g):
             failure = "the oracle finds a tree"
         elif cert.verdict == cli.EXISTS and row.extra is not None:
-            failure, shape = row.extra(case, cert.edges)
+            failure, shape = row.extra(g, cert.edges)
     if failure is None:
         return (None, verdict, shape)
-    return (f"{verdict} fails: {failure} on {_where(case)}", verdict, shape)
+    return (f"{verdict} fails: {failure} on {_where(g)}", verdict, shape)
 
 
 def _dense_enough(g: Graph) -> bool:
@@ -287,10 +285,14 @@ def sweep_dense(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
     return _report(title, partial(_method_case, _Row(("dense",))), cases, workers)
 
 
-def _leafy(g: Graph, tree: EdgeSet) -> tuple[str | None, None]:
-    """The split tree hangs every independent-side vertex as a leaf."""
+def _split_tree_checks(g: Graph, tree: EdgeSet) -> tuple[str | None, None]:
+    """Beside the verified tree: the nonexistence criterion must not hold,
+    and the tree hangs every independent-side vertex as a leaf."""
+    sp = find_split_partition(g)
+    if split_no_tree_condition(g, sp):
+        return ("the split criterion claims no tree", None)
     deg = degrees(tree, g.n)
-    if all(deg[x] == 1 for x in find_split_partition(g).x):
+    if all(deg[x] == 1 for x in sp.x):
         return (None, None)
     return ("an independent-side vertex is not a leaf", None)
 
@@ -301,7 +303,9 @@ def _wide_split(g: Graph) -> bool:
 
 
 def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
-    """Criterion-vs-oracle equivalence on split graphs with |Y| >= 2."""
+    """Criterion-vs-oracle equivalence on split graphs with |Y| >= 2: a
+    verified tree refutes the criterion, and a criterion answer must
+    pass recheck and the oracle."""
     cases = [g for n in range(2, max_n + 1) for g in all_connected_graphs(n) if _wide_split(g)]
     grid = [(s, t) for s in range(1, 7) for t in range(2, 6) if (s + t) % 2 == 0]
     ps = (0.3, 0.6, 0.9)
@@ -312,28 +316,29 @@ def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
 
     cases += _seeded(draw, is_connected, seeded)
     title = f"connected split graphs, exhaustive n<={max_n} plus {seeded} seeded"
-    return _report(title, partial(_method_case, _Row(("split",), extra=_leafy)), cases, workers)
+    row = _Row(("split",), extra=_split_tree_checks)
+    return _report(title, partial(_method_case, row), cases, workers)
 
 
-def _trifree_branch(h: Graph, tree: EdgeSet) -> tuple[None, str | None]:
+def _trifree_branch(g: Graph, tree: EdgeSet) -> tuple[None, str | None]:
     """The construction branch that builds the tree, for the coverage tally;
     the certificate does not carry it, so the decision is made again."""
-    return (None, trifree_complement_tree(h).tree_id)
+    return (None, trifree_complement_tree(complement(g)).tree_id)
 
 
 def sweep_trifree(seeded: int = 300, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Triangle-free decision vs oracle on the complement.
 
-    Universe: every labeled triangle-free graph of even order up to
-    max_n, the crafted per-branch instances, and seeded triangle-free
-    samples at n = 8.
+    Universe: the complements of every labeled triangle-free graph of
+    even order up to max_n, of the crafted per-branch instances, and of
+    seeded triangle-free samples at n = 8.
     """
-    cases = [g for n in range(2, max_n + 1, 2) for g in all_graphs(n) if is_triangle_free(g)]
-    cases += [g for _, g, _ in crafted_trifree_instances()]
-    cases += _seeded(lambda i: gen_random(8, 0.3, i), is_triangle_free, seeded)
+    hs = [h for n in range(2, max_n + 1, 2) for h in all_graphs(n) if is_triangle_free(h)]
+    hs += [h for _, h, _ in crafted_trifree_instances()]
+    hs += _seeded(lambda i: gen_random(8, 0.3, i), is_triangle_free, seeded)
     title = f"triangle-free graphs, exhaustive even n<={max_n} plus crafted plus {seeded} seeded"
-    row = _Row(("trifree",), on_complement=True, extra=_trifree_branch)
-    return _report(title, partial(_method_case, row), cases, workers)
+    row = _Row(("trifree",), extra=_trifree_branch)
+    return _report(title, partial(_method_case, row), [complement(h) for h in hs], workers)
 
 
 def _packing_case(g: Graph) -> Outcome:

@@ -904,6 +904,16 @@ def test_sweep_failures_are_reported_and_counted(monkeypatch):
             f"NOT_EXISTS split-criterion fails: the oracle finds a tree {on_k4}"
         )
 
+    with monkeypatch.context() as m:  # a criterion that claims no tree beside a verified one
+        m.setattr(sweep, "split_no_tree_condition", lambda g, sp: g == k4)
+        assert sweep.sweep_split(seeded=0, max_n=4).lines()[2:] == [
+            "verdict EXISTS split-criterion 24",
+            "verdict NOT_EXISTS odd-order 4",
+            "verdict NOT_EXISTS split-criterion 12",
+            "disagreements 1",
+            f"EXISTS split-criterion fails: the split criterion claims no tree {on_k4}",
+        ]
+
     with monkeypatch.context() as m:  # an UNKNOWN answer: the oracle caps out at n = 12
         m.setitem(cli.METHODS, "dense", cli._oracle)
         lines = sweep.sweep_dense(seeded=3, max_n=0).lines()
