@@ -2,7 +2,8 @@
 
 Graph wire format is a plain edge list: an ``n m`` header with n at most
 ``_MAX_VERTICES``, then m lines ``u v`` with 0-based vertex ids below n,
-LF separated, ``#`` starting a comment that runs to end of line.
+LF separated, ``#`` starting a comment that runs to end of line.  Every
+number is ASCII digits with an optional leading ``-``.
 Certificates are line oriented too: a ``VERDICT method`` header, then
 ``T u v`` witness edges, ``P name:a,b`` vertex parts, ``R reason [args]``,
 and ``C k`` counts.
@@ -17,6 +18,7 @@ import argparse
 import inspect
 import os
 import sys
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .dense_tree import odd_spanning_tree_dense
@@ -104,13 +106,31 @@ class Certificate(NamedTuple):
 _MAX_VERTICES = 100_000
 
 
+def _ascii_int(field: str) -> int:
+    """int() of a field of ASCII digits with an optional leading '-';
+    surrounding whitespace is dropped, as int() drops it."""
+    body = field.strip()
+    digits = body[1:] if body[:1] == "-" else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a number: {field!r}")
+    return int(body)
+
+
+def _number_reader(text: str) -> Callable[[str], int]:
+    """The reader of text's number fields: ASCII digits, optionally after
+    one '-'.  int() reads more only through '+', '_' or a non-ASCII
+    character, so a text without them gets plain int()."""
+    return int if text.isascii() and "+" not in text and "_" not in text else _ascii_int
+
+
 def parse_graph(text: str) -> Graph:
     """Strict edge-list reader; rejects self loops and repeated edges.
 
     One pass over the edge lines checks each one and fills the neighbour
     sets, which become the graph as they stand.
     """
-    lines = text.splitlines()
+    num = _number_reader(text)
+    lines = text.split("\n")
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     rows = [(lineno, parts) for lineno, parts in enumerate(map(str.split, lines), 1) if parts]
@@ -120,7 +140,7 @@ def parse_graph(text: str) -> Graph:
     if len(head) != 2:
         raise ParseError(lineno, "header must be two integers 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = num(head[0]), num(head[1])
     except ValueError:
         raise ParseError(lineno, "header must be two integers 'n m'") from None
     if n < 0 or m < 0:
@@ -134,7 +154,7 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(lineno, "edge line must be two integers 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = num(parts[0]), num(parts[1])
         except ValueError:
             raise ParseError(lineno, "edge line must be two integers 'u v'") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -182,7 +202,8 @@ def parse_certificate(text: str) -> Certificate:
     # one line per edge, part name, R and C: a repeat would show a claim
     # that is never checked
     seen: set[tuple[str, object]] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    num = _number_reader(text)
+    for lineno, raw in enumerate(text.split("\n"), 1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
@@ -197,16 +218,16 @@ def parse_certificate(text: str) -> Certificate:
         key: object = None
         try:
             if tag == "T":
-                u, v = map(int, rest.split())
+                u, v = map(num, rest.split())
                 key = edge(u, v)
                 edges.add(key)
             elif tag == "P":
                 key, _, csv = rest.partition(":")
-                parts.append((key, tuple(int(x) for x in csv.split(",") if x != "")))
+                parts.append((key, tuple(num(x) for x in csv.split(",") if x != "")))
             elif tag == "R":
                 reason = " ".join(rest.split())
             elif tag == "C":
-                count = int(rest)
+                count = num(rest)
             else:
                 raise ParseError(lineno, f"unknown certificate line tag {tag!r}")
         except ValueError:
@@ -392,10 +413,10 @@ def _trifree(g: Graph) -> Certificate:
     # most inputs fail here, before their complement is built
     if complement_has_triangle(g):
         raise OutOfScope("complement of input must be triangle-free")
-    decision = trifree_complement_tree(complement(g))
-    if decision.exists:
-        return _exists(g, "trifree-complement", decision.tree)
-    return _refuted("trifree-complement", NonexistenceReason(EXCLUDED_FAMILY, decision.family))
+    label, tree = trifree_complement_tree(complement(g))
+    if tree is not None:
+        return _exists(g, "trifree-complement", tree)
+    return _refuted("trifree-complement", NonexistenceReason(EXCLUDED_FAMILY, label))
 
 
 def _dense(g: Graph) -> Certificate:

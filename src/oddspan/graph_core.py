@@ -117,14 +117,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Two-coloring classes; normalized so vertex 0 sits in ``left``."""
+    """Two-coloring classes; normalized so vertex 0 sits in ``left``, so
+    two equal splits compare equal."""
 
     left: frozenset[int]
     right: frozenset[int]
-
-    def unordered(self) -> frozenset[frozenset[int]]:
-        """Side-swap-insensitive form for comparisons."""
-        return frozenset((self.left, self.right))
 
 
 def degrees(edges: Iterable[Edge], n: int) -> list[int]:
@@ -248,18 +245,15 @@ def tree_adjacency(t: EdgeSet, n: int) -> list[list[int]]:
     return _checked_tree_walk(t, n)[0]
 
 
-def _max_flow_unit(g: Graph, s: int, t: int, bound: int | None = None) -> int:
-    """Max s-t flow with every edge at capacity 1 in both directions.
-
-    With ``bound`` the search stops after that many augmenting paths, so
-    the result is min(max flow, bound).
-    """
+def _max_flow_unit(g: Graph, s: int, t: int, bound: int) -> int:
+    """min(max s-t flow, bound), every edge at capacity 1 in both directions;
+    the search stops after ``bound`` augmenting paths."""
     cap: dict[Edge, int] = {}
     for u in range(g.n):
         for v in g.adj[u]:
             cap[(u, v)] = 1
     flow = 0
-    while bound is None or flow < bound:
+    while flow < bound:
         parent = {s: s}
         queue = deque([s])
         while queue and t not in parent:

@@ -34,6 +34,7 @@ from .families import (
     gen_random_split,
 )
 from .graph_core import (
+    Bipartition,
     Edge,
     EdgeSet,
     Graph,
@@ -320,10 +321,10 @@ def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
     return _report(title, partial(_method_case, row), cases, workers)
 
 
-def _trifree_branch(g: Graph, tree: EdgeSet) -> tuple[None, str | None]:
+def _trifree_branch(g: Graph, tree: EdgeSet) -> tuple[None, str]:
     """The construction branch that builds the tree, for the coverage tally;
     the certificate does not carry it, so the decision is made again."""
-    return (None, trifree_complement_tree(complement(g)).tree_id)
+    return (None, trifree_complement_tree(complement(g)).label)
 
 
 def sweep_trifree(seeded: int = 300, workers: int = 1, max_n: int = 6) -> SweepReport:
@@ -383,14 +384,13 @@ def sweep_factor(seeded: int = 100, workers: int = 1) -> SweepReport:
 def _bipartition_case(g: Graph) -> Outcome:
     bp = bipartition(g)
     if bp is not None:
-        want = bp.unordered()
         for t in enumerate_spanning_trees(g):
-            if tree_bipartition(t, g.n).unordered() != want:
+            if tree_bipartition(t, g.n) != bp:
                 return (f"tree {sorted(t)} disagrees on {_where(g)}", "bipartite", None)
         return (None, "bipartite", None)
-    seen: set[frozenset[frozenset[int]]] = set()
+    seen: set[Bipartition] = set()
     for t in enumerate_spanning_trees(g):
-        seen.add(tree_bipartition(t, g.n).unordered())
+        seen.add(tree_bipartition(t, g.n))
         if len(seen) >= 2:
             return (None, "non-bipartite", None)
     return (f"non-bipartite graph with a forced partition: {_where(g)}", "non-bipartite", None)

@@ -1,11 +1,12 @@
 """Odd spanning trees in complements of triangle-free graphs.
 
 For triangle-free g of even order, the complement has an odd spanning
-tree unless g falls in a short list of excluded shapes.  The
-construction is a case analysis anchored either at vertex 0 (when every
-degree of g is odd) or at the lowest even-degree vertex.  Each branch
-emits a tree with a stable id so coverage can be audited; callers check
-the tree against the complement with ``oddspan.oracle``.
+tree unless g falls in a short list of excluded shapes.  The answer is
+one ``(label, tree)`` pair: a construction branch id with its tree, or
+an excluded family with no tree.  The construction is a case analysis
+anchored either at vertex 0 (when every degree of g is odd) or at the
+lowest even-degree vertex.  The branch ids let coverage be audited;
+callers check the tree against the complement with ``oddspan.oracle``.
 
 Neighborhoods of any vertex of g are independent, hence cliques in the
 complement; that single fact powers most branches.
@@ -13,7 +14,7 @@ complement; that single fact powers most branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Disconnected, EmptyGraph, OddOrder, OutOfScope
 from .graph_core import (
@@ -32,30 +33,12 @@ K2S2T_MINUS_E = "k2s2t-minus-e"
 EXCLUDED_FAMILIES = (COMPLETE_BIPARTITE, TWO_K2, C5_OF_2, K2S2T, K2S2T_MINUS_E)
 
 
-@dataclass(frozen=True)
-class TrifreeDecision:
-    """Outcome: either a tree with its branch id, or a family."""
+class TrifreeDecision(NamedTuple):
+    """``label`` is the branch id when ``tree`` is an odd spanning tree of
+    the complement, and the excluded family when ``tree`` is None."""
 
-    exists: bool
-    tree_id: str | None = None
-    tree: EdgeSet | None = None
-    family: str | None = None
-
-
-@dataclass(frozen=True)
-class CaseFrame:
-    """Anchor data for the even-degree construction.
-
-    y is the lowest even-degree vertex, xs its neighborhood, ys the
-    rest (y included).  y_i maps each x to the ys-vertices it misses in
-    g, and yprime collects the ys-vertices missed by no x.
-    """
-
-    y: int
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
-    y_i: dict[int, frozenset[int]]
-    yprime: tuple[int, ...]
+    label: str
+    tree: EdgeSet | None
 
 
 def recognize_excluded(g: Graph) -> str | None:
@@ -81,21 +64,6 @@ def recognize_excluded(g: Graph) -> str | None:
     if g.m == a * b:
         return K2S2T if even else COMPLETE_BIPARTITE
     return K2S2T_MINUS_E if even and g.m == a * b - 1 else None
-
-
-def build_case_frame(g: Graph) -> CaseFrame:
-    """Anchor the even-degree case analysis.
-
-    g must be triangle-free, of even order and with an even-degree
-    vertex; ``trifree_complement_tree`` checks all three first.
-    """
-    y = min(v for v in range(g.n) if g.degree(v) % 2 == 0)
-    xs = tuple(sorted(g.adj[y]))
-    ys = tuple(sorted(set(range(g.n)) - g.adj[y]))
-    y_i = {x: frozenset(w for w in ys if not g.has_edge(x, w)) for x in xs}
-    yprime = tuple(w for w in ys if all(w not in y_i[x] for x in xs))
-    assert y in ys and y in yprime
-    return CaseFrame(y=y, xs=xs, ys=ys, y_i=y_i, yprime=yprime)
 
 
 def _all_odd_tree(g: Graph) -> tuple[str, EdgeSet]:
@@ -193,14 +161,21 @@ def _theta_tree(
     return tid, frozenset(tree)
 
 
-def _even_anchor_tree(g: Graph, fr: CaseFrame) -> tuple[str, EdgeSet]:
-    """Construction anchored at the lowest even-degree vertex."""
-    y, xs, ys = fr.y, list(fr.xs), list(fr.ys)
+def _even_anchor_tree(g: Graph) -> tuple[str, EdgeSet]:
+    """Construction anchored at the lowest even-degree vertex y.
+
+    xs is the neighborhood of y and ys the rest, y included; y_i maps
+    each x to the ys-vertices it misses in g.
+    """
+    y = min(v for v in range(g.n) if g.degree(v) % 2 == 0)
+    xs = sorted(g.adj[y])
+    ys = sorted(set(range(g.n)) - g.adj[y])
     if not xs:
         # y is isolated in g, so it dominates the complement
         tree = frozenset(edge(y, w) for w in range(g.n) if w != y)
         return "STAR", tree
-    hits = {w: [x for x in xs if w in fr.y_i[x]] for w in ys}
+    y_i = {x: {w for w in ys if not g.has_edge(x, w)} for x in xs}
+    hits = {w: [x for x in xs if w in y_i[x]] for w in ys}
     rich = [w for w in ys if len(hits[w]) >= 2]
     if rich:
         yp = rich[0]
@@ -217,17 +192,17 @@ def _even_anchor_tree(g: Graph, fr: CaseFrame) -> tuple[str, EdgeSet]:
         for j in range(i + 1, len(ys))
     )
     if independent:
-        wide = [x for x in xs if len(fr.y_i[x]) >= 2]
+        wide = [x for x in xs if len(y_i[x]) >= 2]
         if wide:
             xi = wide[0]
-            a, b = sorted(fr.y_i[xi])[:2]
+            a, b = sorted(y_i[xi])[:2]
             tree = {edge(xi, a), edge(xi, b)}
             tree |= {edge(a, w) for w in ys if w not in (a, b)}
             tree |= {edge(xi, x) for x in xs if x != xi}
             return "T4", frozenset(tree)
         # two pairs at least: with fewer, g is K(|xs|, |ys|) or that minus
         # an edge, both sides even, so excluded upstream
-        pairs = [(x, min(fr.y_i[x])) for x in xs if fr.y_i[x]]
+        pairs = [(x, min(y_i[x])) for x in xs if y_i[x]]
         (xa, ya), (xb, yb) = pairs[0], pairs[1]
         if len(xs) >= 4:
             xc = min(x for x in xs if x not in (xa, xb))
@@ -243,9 +218,9 @@ def _even_anchor_tree(g: Graph, fr: CaseFrame) -> tuple[str, EdgeSet]:
     # ys has an edge ab and each x misses a or b, as g is triangle-free;
     # none is missed twice (T3), so there are two x's, one at each end
     x1, x2 = xs
-    a_side = sorted(fr.y_i[x1])
-    b_side = sorted(fr.y_i[x2])
-    c_side = [w for w in ys if w in set(fr.yprime)]
+    a_side = sorted(y_i[x1])
+    b_side = sorted(y_i[x2])
+    c_side = [w for w in ys if w not in y_i[x1] and w not in y_i[x2]]
     gap = next(
         ((ya, yb) for ya in a_side for yb in b_side if not g.has_edge(ya, yb)),
         None,
@@ -278,9 +253,7 @@ def trifree_complement_tree(g: Graph) -> TrifreeDecision:
         raise OddOrder(f"order {g.n} is odd")
     family = recognize_excluded(g)
     if family is not None:
-        return TrifreeDecision(exists=False, family=family)
+        return TrifreeDecision(family, None)
     if all(g.degree(v) % 2 == 1 for v in range(g.n)):
-        tid, tree = _all_odd_tree(g)
-    else:
-        tid, tree = _even_anchor_tree(g, build_case_frame(g))
-    return TrifreeDecision(exists=True, tree_id=tid, tree=tree)
+        return TrifreeDecision(*_all_odd_tree(g))
+    return TrifreeDecision(*_even_anchor_tree(g))

@@ -154,7 +154,11 @@ def test_parse_certificate_takes_tabs_after_each_tag():
 
 @pytest.mark.parametrize(
     "line",
-    ["T 0 x", "T 0", "T 0 1 2", "T 1.5 2", "T 2 2", "P left:0,a", "P left:0;1", "C many", "C"],
+    ["T 0 x", "T 0", "T 0 1 2", "T 1.5 2", "T 2 2", "P left:0,a", "P left:0;1", "C many", "C",
+     # int() reads these, but a number is ASCII digits after at most a '-',
+     # and a line ends at LF only
+     "T \u0660 \u0661", "T +0 1", "T 0 1_0", "T \uff10 1", "P left:+0", "P left:0,\u0661",
+     "C 1_0", "C \u0663", "T 0 1\x1cT 0 2", "T 0 1\u2028T 0 2", "C 1\x85C 2"],
 )
 def test_parse_certificate_non_integer_field(capsys, tmp_path, line):
     with pytest.raises(ParseError) as info:
@@ -163,7 +167,7 @@ def test_parse_certificate_non_integer_field(capsys, tmp_path, line):
     graph = tmp_path / "k4.txt"
     graph.write_text(K4)
     cert = tmp_path / "cert.txt"
-    cert.write_text(f"EXISTS dense-min-degree\n{line}\n")
+    cert.write_text(f"EXISTS dense-min-degree\n{line}\n", encoding="utf-8")
     assert main(["verify", str(graph), "--certificate", str(cert)]) == 65
     assert capsys.readouterr().err.startswith("error: line 2: ")
 
@@ -671,7 +675,8 @@ def test_seeded_graph_text_mutations_never_end_in_a_traceback(capsys, monkeypatc
 
 # A frozen copy of the reader as it was when it checked every line first
 # and then built the graph from an edge list.  The one-pass reader must
-# give the same graph, or the same error on the same line.
+# give the same graph, or the same error on the same line, on every text
+# but those in ``_STRICTER``.
 
 
 def _frozen_parse_graph(text):
@@ -733,7 +738,35 @@ _ODD_TEXTS = [
     "\u0662 \u0661\n\u0660 \u0661\n", "\uff12 1\n0 1\n", "2 1\n0 1 # 0 1\n",
     "2 1\n# 0 1\n0 1\n", "3 2\n0 1 #\n1 0\n", "2 1\n0 1 1\n", "2 1\n0\n",
     "2 1 1\n0 1\n", "2\n", "2 x\n", "-0 0\n", "2 -1\n", "1 0\n# 0 0\n",
+    "2 1\n0 +1\n", "2 1\n0 \u0661\n", "2 1\n0 1_0\n", "3 2\n0 1\x0c1 2\n", "2 1\r0 1\n",
+    "2 1 # \uff12 +1_0\n0 1 # \u0661\n", "2 1\n-0 1\n", "2 1\n0 -1\n",
 ]
+
+# The texts whose outcome differs from the frozen reader's on purpose: a
+# line ends at LF only, and a number is ASCII digits after at most one
+# '-'.  Each maps to its error (line, text), or to the plain text that it
+# now reads as.
+_HEADER_ERROR = (1, "header must be two integers 'n m'")
+_STRICTER = {
+    "2\x0b1\n0 1\n": "2 1\n0 1\n",  # the vertical tab now separates fields, as a tab does
+    "2 1\x0b0 1\n": _HEADER_ERROR, "2 1\x1c0 1\n": _HEADER_ERROR,
+    "2 1\x1c\x1c0 1\n": _HEADER_ERROR, "2 1\x85 0 1\n": _HEADER_ERROR,
+    "2 1\u20280 1\u2029": _HEADER_ERROR, "+2 1\n0 +1\n": _HEADER_ERROR,
+    "1_0 1\n0 9\n": _HEADER_ERROR, "\u0662 \u0661\n\u0660 \u0661\n": _HEADER_ERROR,
+    "\uff12 1\n0 1\n": _HEADER_ERROR, "2 1\r0 1\n": _HEADER_ERROR,
+    "2 1\n0 +1\n": (2, "edge line must be two integers 'u v'"),
+    "2 1\n0 \u0661\n": (2, "edge line must be two integers 'u v'"),
+    "2 1\n0 1_0\n": (2, "edge line must be two integers 'u v'"),
+    "3 2\n0 1\x0c1 2\n": (1, "header promises 2 edges, found 1"),
+}
+
+
+def _stricter_outcome(text):
+    now = _STRICTER[text]
+    if isinstance(now, str):
+        return _parse_outcome(_frozen_parse_graph, now)
+    line, message = now
+    return "error", line, f"line {line}: {message}"
 
 
 def test_parse_graph_matches_the_frozen_reader():
@@ -745,8 +778,13 @@ def test_parse_graph_matches_the_frozen_reader():
     kinds = Counter()
     for text in texts:
         want = _parse_outcome(_frozen_parse_graph, text)
+        if text in _STRICTER:
+            now = _stricter_outcome(text)
+            assert now != want, text
+            want = now
         assert _parse_outcome(parse_graph, text) == want, text
         kinds[want[0]] += 1
+    assert set(_STRICTER) <= set(_ODD_TEXTS)
     assert kinds["graph"] > 500 and kinds["error"] > 1500
 
 

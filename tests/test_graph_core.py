@@ -164,14 +164,14 @@ def test_tree_bipartition_path(monkeypatch):
 
 def test_bipartite_graph_trees_share_bipartition():
     g = gen_complete_bipartite(2, 3)
-    want = bipartition(g).unordered()
-    seen = [tree_bipartition(t, g.n).unordered() for t in enumerate_spanning_trees(g)]
+    want = bipartition(g)
+    seen = [tree_bipartition(t, g.n) for t in enumerate_spanning_trees(g)]
     assert len(seen) == 12  # 2^2 * 3^1 by the bipartite tree count
     assert all(s == want for s in seen)
 
 
 def test_nonbipartite_graph_has_two_tree_bipartitions():
-    seen = {tree_bipartition(t, 4).unordered() for t in enumerate_spanning_trees(complete(4))}
+    seen = {tree_bipartition(t, 4) for t in enumerate_spanning_trees(complete(4))}
     assert len(seen) >= 2
 
 
@@ -292,7 +292,7 @@ def test_edge_connectivity_at_least_matches_exact_on_small_graphs():
 def test_edge_connectivity_flows_only_to_a_dominating_set(monkeypatch):
     g, cut = gen_random(40, 0.5, 1), joined_cliques(10, 3)
     # the exact value as one flow to every other vertex finds it
-    every = [min(graph_core._max_flow_unit(h, 0, t) for t in range(1, h.n)) for h in (g, cut)]
+    every = [min(graph_core._max_flow_unit(h, 0, t, h.n) for t in range(1, h.n)) for h in (g, cut)]
     assert every == [g.min_degree(), 3] and cut.min_degree() == 9
     real, sinks = graph_core._max_flow_unit, []
 
@@ -323,7 +323,7 @@ def test_edge_connectivity_at_least_matches_exact_seeded():
             g = Graph(n, [*a.edge_set(), *((u + h, v + h) for u, v in b.edge_set()), *links])
         lam = edge_connectivity(g)
         # one flow to every other vertex, as the value was computed before
-        assert lam == min(graph_core._max_flow_unit(g, 0, t) for t in range(1, n)), (n, i)
+        assert lam == min(graph_core._max_flow_unit(g, 0, t, n) for t in range(1, n)), (n, i)
         for k in range(n + 1):
             assert edge_connectivity_at_least(g, k) == (lam >= k), (n, i, k)
             bounded += lam < k <= g.min_degree()

@@ -26,7 +26,6 @@ from oddspan.trifree import (
     K2S2T,
     K2S2T_MINUS_E,
     TWO_K2,
-    build_case_frame,
     recognize_excluded,
     trifree_complement_tree,
 )
@@ -95,13 +94,12 @@ def test_theta_trees_match_golden():
     digest = hashlib.sha256()
     counts: Counter[str] = Counter()
     for g in _theta_golden_graphs():
-        d = trifree_complement_tree(g)
-        if d.exists:
-            assert verify_odd_spanning_tree(complement(g), d.tree).ok
-        key = d.tree_id if d.exists else d.family
-        tree = " ".join(f"{u}-{v}" for u, v in sorted(d.tree or ()))
-        digest.update(f"{key} {tree}\n".encode())
-        counts[key] += 1
+        label, tree = trifree_complement_tree(g)
+        if tree is not None:
+            assert verify_odd_spanning_tree(complement(g), tree).ok
+        edges = " ".join(f"{u}-{v}" for u, v in sorted(tree or ()))
+        digest.update(f"{label} {edges}\n".encode())
+        counts[label] += 1
     lines = [f"sha256 {digest.hexdigest()}"] + [f"{k} {c}" for k, c in sorted(counts.items())]
     want = (GOLDEN / "construct" / "trifree-theta-trees.txt").read_text()
     assert "\n".join(lines) + "\n" == want
@@ -199,26 +197,26 @@ def test_recognize_excluded_families():
     assert recognize_excluded(path(6)) is None
 
 
-def test_case_frame_shape():
-    fr = build_case_frame(cycle(6))
-    assert fr.y == 0
-    assert fr.xs == (1, 5)
-    assert fr.ys == (0, 2, 3, 4)
-    assert fr.y in fr.yprime
-    for x in fr.xs:
-        assert all(not cycle(6).has_edge(x, w) for w in fr.y_i[x])
+def test_label_names_a_branch_exactly_when_there_is_a_tree():
+    graphs = [g for n in (2, 4, 6) for g in all_graphs(n) if is_triangle_free(g)]
+    graphs += [g for _, g, _ in crafted_trifree_instances()]
+    labels = Counter()
+    for g in graphs:
+        label, tree = trifree_complement_tree(g)
+        branch = label == "STAR" or label[0] == "T" and label[1:].isdigit()
+        assert branch == (tree is not None), (label, sorted(g.edge_set()))
+        assert (label in trifree.EXCLUDED_FAMILIES) == (tree is None), label
+        labels[tree is None] += 1
+    assert labels[False] and labels[True]
 
 
 def test_crafted_instances_hit_expected_branches():
     for label, g, want in crafted_trifree_instances():
         decision = trifree_complement_tree(g)
+        assert decision.label == want, label
         if want[0] == "T" or want == "STAR":
-            assert decision.exists, label
-            assert decision.tree_id == want, label
             assert verify_odd_spanning_tree(complement(g), decision.tree).ok, label
         else:
-            assert not decision.exists, label
-            assert decision.family == want, label
             assert decision.tree is None
 
 
@@ -236,19 +234,19 @@ def test_theta_trees_hung_on_the_second_attachment(shape, want):
     # build T9 and T10 without the swap
     g = build_theta(*shape)
     decision = trifree_complement_tree(g)
-    assert g.n == 8 and decision.exists and decision.tree_id == want
+    assert g.n == 8 and decision.label == want
     assert verify_odd_spanning_tree(complement(g), decision.tree).ok
 
 
 def test_path6_tree():
     decision = trifree_complement_tree(path(6))
-    assert decision.exists and decision.tree_id == "T3"
+    assert decision.label == "T3"
     assert decision.tree == es((1, 3), (1, 4), (1, 5), (0, 4), (2, 4))
 
 
 def test_star_decision_on_empty_pair():
     decision = trifree_complement_tree(Graph(2))
-    assert decision.exists and decision.tree_id == "STAR"
+    assert decision.label == "STAR"
     assert decision.tree == es((0, 1))
 
 
@@ -293,18 +291,20 @@ def test_retired_t8_frames_are_built_as_t6():
     for g in (g for n in (4, 6) for g in all_graphs(n)):
         if not is_triangle_free(g) or all(g.degree(v) % 2 for v in range(g.n)):
             continue
-        fr = build_case_frame(g)
-        if len(fr.xs) != 2 or len(fr.ys) == 2:
+        y = min(v for v in range(g.n) if g.degree(v) % 2 == 0)
+        xs, ys = sorted(g.adj[y]), sorted(set(range(g.n)) - g.adj[y])
+        y_i = {x: {w for w in ys if not g.has_edge(x, w)} for x in xs}
+        if len(xs) != 2 or len(ys) == 2:
             continue
-        x1, x2 = fr.xs
-        if fr.y_i[x1] & fr.y_i[x2]:
+        x1, x2 = xs
+        if y_i[x1] & y_i[x2]:
             continue
-        if len(fr.y_i[x1]) != 1 or len(fr.y_i[x2]) != 1:
+        if len(y_i[x1]) != 1 or len(y_i[x2]) != 1:
             continue
-        (ya,), (yb,) = fr.y_i[x1], fr.y_i[x2]
+        (ya,), (yb,) = y_i[x1], y_i[x2]
         if g.has_edge(ya, yb):
             continue
         seen += 1
-        assert not any(g.has_edge(u, w) for u in fr.ys for w in fr.ys)
-        assert trifree_complement_tree(g).tree_id == "T6"
+        assert not any(g.has_edge(u, w) for u in ys for w in ys)
+        assert trifree_complement_tree(g).label == "T6"
     assert seen == 180
