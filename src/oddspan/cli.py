@@ -88,7 +88,12 @@ EX_INTERNAL = 70
 
 
 class Certificate(NamedTuple):
-    """One verdict with a machine-checkable payload."""
+    """One verdict with a machine-checkable payload.
+
+    ``verified`` and ``branch`` are never emitted or parsed: the first
+    marks a witness verified where it was built, the second names the
+    construction branch that built it, where a method has branches.
+    """
 
     verdict: str
     method: str
@@ -97,6 +102,7 @@ class Certificate(NamedTuple):
     reason: str | None = None
     count: int | None = None
     verified: bool = False
+    branch: str | None = None
 
 
 # The largest vertex count a graph text may declare.  The reader
@@ -383,10 +389,10 @@ def _checked(g: Graph, cert: Certificate, what: str) -> Certificate:
     return cert
 
 
-def _exists(g: Graph, method: str, witness: EdgeSet) -> Certificate:
+def _exists(g: Graph, method: str, witness: EdgeSet, branch: str | None = None) -> Certificate:
     """The one place a witness is verified before it becomes an answer."""
-    return _checked(g, Certificate(EXISTS, method, edges=witness, verified=True),
-                    "constructed witness")
+    cert = Certificate(EXISTS, method, edges=witness, verified=True, branch=branch)
+    return _checked(g, cert, "constructed witness")
 
 
 # Each method takes a nonempty graph and returns a Certificate.  One whose
@@ -415,7 +421,7 @@ def _trifree(g: Graph) -> Certificate:
         raise OutOfScope("complement of input must be triangle-free")
     label, tree = trifree_complement_tree(complement(g))
     if tree is not None:
-        return _exists(g, "trifree-complement", tree)
+        return _exists(g, "trifree-complement", tree, label)
     return _refuted("trifree-complement", NonexistenceReason(EXCLUDED_FAMILY, label))
 
 

@@ -37,12 +37,20 @@ class _SplitMix:
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
 
+    def draws(self, k: int) -> list[int]:
+        """The next k outputs, in order."""
+        state = self.state
+        out = []
+        for _ in range(k):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            out.append(z ^ (z >> 31))
+        self.state = state
+        return out
+
     def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
+        return self.draws(1)[0]
 
 
 def gen_complete(n: int) -> Graph:
@@ -90,26 +98,30 @@ def gen_bridge_join(g1: Graph, g2: Graph, u: int, v: int) -> Graph:
 def gen_random(n: int, p: float, seed: int) -> Graph:
     """G(n, p) under the documented splitmix stream, one draw per pair.
 
-    Pairs are drawn in lexicographic order, so the graph is a pure
-    function of (n, p, seed).
+    Pairs are drawn in lexicographic order, one row of u's pairs with
+    the vertices above u per draw call, so the graph is a pure function
+    of (n, p, seed).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     rng = _SplitMix(seed)
     threshold = int(p * (1 << 64))
-    es = []
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     for u in range(n):
-        for v in range(u + 1, n):
-            if rng.next() < threshold:
-                es.append((u, v))
-    return Graph(n, es)
+        for v, z in enumerate(rng.draws(n - 1 - u), u + 1):
+            if z < threshold:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    return Graph._from_neighbours(nbrs)
 
 
 def gen_random_split(s: int, t: int, p: float, seed: int) -> tuple[Graph, SplitPartition]:
     """Random split graph: clique on Y, independent X, seeded X-Y edges.
 
-    X = 0..s-1, Y = s..s+t-1.  Connectivity is not guaranteed; callers
-    filter.
+    X = 0..s-1, Y = s..s+t-1; each x draws its row of pairs with Y in
+    one call.  Connectivity is not guaranteed; callers filter.
     """
     if s < 0 or t < 1:
         raise ValueError(f"need s >= 0 and t >= 1, got ({s}, {t})")
@@ -117,13 +129,15 @@ def gen_random_split(s: int, t: int, p: float, seed: int) -> tuple[Graph, SplitP
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = _SplitMix(seed)
     threshold = int(p * (1 << 64))
-    es = [(u, v) for u in range(s, s + t) for v in range(u + 1, s + t)]
+    ys = range(s, s + t)
+    nbrs: list[set[int]] = [set() for _ in range(s)] + [set(ys) - {y} for y in ys]
     for x in range(s):
-        for y in range(s, s + t):
-            if rng.next() < threshold:
-                es.append((x, y))
-    sp = SplitPartition(x=frozenset(range(s)), y=tuple(range(s, s + t)))
-    return Graph(s + t, es), sp
+        for y, z in zip(ys, rng.draws(t)):
+            if z < threshold:
+                nbrs[x].add(y)
+                nbrs[y].add(x)
+    sp = SplitPartition(x=frozenset(range(s)), y=tuple(ys))
+    return Graph._from_neighbours(nbrs), sp
 
 
 @dataclass(frozen=True)

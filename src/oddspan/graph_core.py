@@ -100,7 +100,7 @@ class Graph:
 
     def edge_set(self) -> EdgeSet:
         if self._edges is None:
-            self._edges = frozenset((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+            self._edges = frozenset([(u, v) for u in range(self.n) for v in self.adj[u] if u < v])
         return self._edges
 
     def __eq__(self, other: object) -> bool:
@@ -133,9 +133,12 @@ def degrees(edges: Iterable[Edge], n: int) -> list[int]:
     return d
 
 
-def _adjacency(edges: Iterable[Edge], n: int) -> list[list[int]]:
+def _adjacency(edges: Iterable[Edge], n: int) -> list[list[int]] | None:
+    """Adjacency lists of edges on 0..n-1, or None if an end is out of range."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return None
         adj[u].append(v)
         adj[v].append(u)
     return adj
@@ -146,9 +149,9 @@ def _tree_walk(t: EdgeSet, n: int) -> tuple[list[list[int]], list[int]] | None:
     is not a spanning tree on 0..n-1."""
     if n < 1 or len(t) != n - 1:
         return None
-    if any(not (0 <= u < n and 0 <= v < n) for u, v in t):
-        return None
     adj = _adjacency(t, n)
+    if adj is None:
+        return None
     dist = bfs_distances(adj, 0)
     return None if -1 in dist else (adj, dist)
 
@@ -180,7 +183,7 @@ def is_connected(g: Graph) -> bool:
 
 def _depth_classes(dist: list[int]) -> Bipartition:
     """Even and odd BFS depths from vertex 0, so vertex 0 is on the left."""
-    left = frozenset(v for v, d in enumerate(dist) if d % 2 == 0)
+    left = frozenset([v for v, d in enumerate(dist) if d % 2 == 0])
     return Bipartition(left, frozenset(range(len(dist))) - left)
 
 

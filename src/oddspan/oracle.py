@@ -101,33 +101,44 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[EdgeSet]:
     out while components remain.  Raises Disconnected when called, before
     the first tree is asked for.
 
-    The recursion is exponential; callers are expected to stay at desk
+    The search is exponential; callers are expected to stay at desk
     scale (soft cap n <= 10, not enforced).
     """
     if not is_connected(g):
         raise Disconnected(f"graph with {g.n} vertices is not connected")
-    edges = sorted(g.edge_set())
+    return _spanning_trees(sorted(g.edge_set()), g.n)
+
+
+def _spanning_trees(edges: list[tuple[int, int]], n: int) -> Iterator[EdgeSet]:
+    """The search of ``enumerate_spanning_trees`` on one explicit stack.
+
+    A frame ``(i, parent, ncomp, back)`` with back False is a search node
+    at edge i; with back True it is the return from the branch that
+    included edge i, which then tries the branch that excludes it.  The
+    include branch is walked in place, down to a tree, so the nodes are
+    visited in the order of the recursive include-first search.
+    """
     chosen: list[tuple[int, int]] = []
-
-    def rec(i: int, parent: list[int], ncomp: int) -> Iterator[EdgeSet]:
-        if ncomp == 1:
-            yield frozenset(chosen)
-            return
-        u, v = edges[i]
-        ru, rv = find_root(parent, u), find_root(parent, v)
-        if ru != rv:
-            child = parent.copy()
-            child[ru] = rv
-            chosen.append(edges[i])
-            yield from rec(i + 1, child, ncomp - 1)
+    stack = [(0, list(range(n)), n, False)]
+    while stack:
+        i, parent, ncomp, back = stack.pop()
+        if back:
             chosen.pop()
-            if _reconnectable(parent, ncomp, edges, i + 1):
-                yield from rec(i + 1, parent, ncomp)
-        else:
-            # Internal edge: never helps, exclusion cannot hurt feasibility.
-            yield from rec(i + 1, parent, ncomp)
-
-    return rec(0, list(range(g.n)), g.n)
+            if not _reconnectable(parent, ncomp, edges, i + 1):
+                continue
+            i += 1
+        while ncomp > 1:
+            u, v = edges[i]
+            ru, rv = find_root(parent, u), find_root(parent, v)
+            # an internal edge never helps, and excluding it cannot hurt feasibility
+            if ru != rv:
+                stack.append((i, parent, ncomp, True))
+                parent = parent.copy()
+                parent[ru] = rv
+                ncomp -= 1
+                chosen.append(edges[i])
+            i += 1
+        yield frozenset(chosen)
 
 
 def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:

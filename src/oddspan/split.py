@@ -61,8 +61,10 @@ def find_split_partition(g: Graph) -> SplitPartition | None:
     """
     if g.n == 0:
         return SplitPartition(x=frozenset(), y=())
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    d = [g.degree(v) for v in order]
+    deg = list(map(len, g.adj))
+    # a stable sort, so reverse=True keeps equal degrees in vertex order
+    order = sorted(range(g.n), key=deg.__getitem__, reverse=True)
+    d = [deg[v] for v in order]
     m = max(i for i in range(1, g.n + 1) if d[i - 1] >= i - 1)
     if sum(d[:m]) != m * (m - 1) + sum(d[m:]):
         return None

@@ -23,9 +23,9 @@ import multiprocessing
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import Disconnected
+from .errors import Disconnected, EmptyGraph
 from .families import (
     gen_complete_bipartite,
     gen_complete_bipartite_minus_edge,
@@ -35,8 +35,6 @@ from .families import (
 )
 from .graph_core import (
     Bipartition,
-    Edge,
-    EdgeSet,
     Graph,
     bipartition,
     complement,
@@ -50,7 +48,9 @@ from .graph_core import (
 from .oracle import ODD_TREE_VERTEX_CAP, enumerate_spanning_trees, find_odd_spanning_tree_bruteforce
 from .split import find_split_partition, split_no_tree_condition
 from .tree_packing import exhaustive_pair_search, two_edge_disjoint_spanning_trees, verify_packing
-from .trifree import trifree_complement_tree
+
+if TYPE_CHECKING:
+    from .cli import Certificate
 
 # what a checker found on one case: (disagreement, verdict, coverage shape)
 Outcome = tuple[str | None, str | None, str | None]
@@ -81,31 +81,43 @@ class SweepReport:
         return out
 
 
-def _pairs(n: int) -> list[Edge]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _neighbour_rows(n: int) -> Iterator[list[int]]:
+    """Neighbour bitmask rows of every labeled graph on 0..n-1, by edge
+    bitmask: bit i of the mask is the i-th pair in lexicographic order,
+    so vertex 0's pairs change fastest.  Each edge sets its two bits."""
+    ends = [(u, 1 << v, v, 1 << u) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(ends)):
+        rows = [0] * n
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, bv, v, bu = ends[low.bit_length() - 1]
+            rows[u] |= bv
+            rows[v] |= bu
+        yield rows
+
+
+def _row_sets(n: int) -> list[frozenset[int]]:
+    """The vertex set of every bitmask row on 0..n-1, indexed by the row."""
+    return [frozenset(v for v in range(n) if row >> v & 1) for row in range(1 << n)]
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on vertex set 0..n-1, by edge bitmask."""
-    ps = _pairs(n)
-    for mask in range(1 << len(ps)):
-        yield Graph(n, (p for i, p in enumerate(ps) if mask >> i & 1))
+    sets = _row_sets(n)
+    for rows in _neighbour_rows(n):
+        yield Graph._from_neighbours([sets[r] for r in rows])
 
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected labeled graph on 0..n-1, in the order of
-    ``all_graphs``; reachability is tested on vertex bitmasks, so only
+    ``all_graphs``; reachability is tested on the bitmask rows, so only
     the connected ones are built."""
-    ps = _pairs(n)
+    if n == 0:
+        raise EmptyGraph("connectivity of the empty graph is undefined here")
+    sets = _row_sets(n)
     full = (1 << n) - 1
-    for mask in range(1 << len(ps)):
-        if mask.bit_count() < n - 1:
-            continue
-        nbr = [0] * n
-        for i, (u, v) in enumerate(ps):
-            if mask >> i & 1:
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
+    for nbr in _neighbour_rows(n):
         # reachability from vertex 0 on vertex bitmasks
         seen = todo = 1
         while todo:
@@ -115,7 +127,7 @@ def all_connected_graphs(n: int) -> Iterator[Graph]:
             seen |= new
             todo |= new
         if seen == full:
-            yield Graph(n, (p for i, p in enumerate(ps) if mask >> i & 1))
+            yield Graph._from_neighbours([sets[r] for r in nbr])
 
 
 def circulant(n: int, steps: tuple[int, ...]) -> Graph:
@@ -236,11 +248,11 @@ def _report(title: str, checker, cases: list[Graph], workers: int) -> SweepRepor
 
 class _Row(NamedTuple):
     """One method universe: the ``cli.METHODS`` names to run, and the
-    paper's extra property of an EXISTS tree, which maps (case, tree) to
-    (failure, coverage shape)."""
+    paper's extra property of an EXISTS answer, which maps (case,
+    certificate) to (failure, coverage shape)."""
 
     names: tuple[str, ...]
-    extra: Callable[[Graph, EdgeSet], tuple[str | None, str | None]] | None = None
+    extra: Callable[[Graph, Certificate], tuple[str | None, str | None]] | None = None
 
 
 def _oracle_finds_tree(g: Graph) -> bool:
@@ -266,7 +278,7 @@ def _method_case(row: _Row, g: Graph) -> Outcome:
         elif cert.verdict == cli.NOT_EXISTS and _oracle_finds_tree(g):
             failure = "the oracle finds a tree"
         elif cert.verdict == cli.EXISTS and row.extra is not None:
-            failure, shape = row.extra(g, cert.edges)
+            failure, shape = row.extra(g, cert)
     if failure is None:
         return (None, verdict, shape)
     return (f"{verdict} fails: {failure} on {_where(g)}", verdict, shape)
@@ -286,13 +298,13 @@ def sweep_dense(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
     return _report(title, partial(_method_case, _Row(("dense",))), cases, workers)
 
 
-def _split_tree_checks(g: Graph, tree: EdgeSet) -> tuple[str | None, None]:
+def _split_tree_checks(g: Graph, cert: Certificate) -> tuple[str | None, None]:
     """Beside the verified tree: the nonexistence criterion must not hold,
     and the tree hangs every independent-side vertex as a leaf."""
     sp = find_split_partition(g)
     if split_no_tree_condition(g, sp):
         return ("the split criterion claims no tree", None)
-    deg = degrees(tree, g.n)
+    deg = degrees(cert.edges, g.n)
     if all(deg[x] == 1 for x in sp.x):
         return (None, None)
     return ("an independent-side vertex is not a leaf", None)
@@ -321,10 +333,9 @@ def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
     return _report(title, partial(_method_case, row), cases, workers)
 
 
-def _trifree_branch(g: Graph, tree: EdgeSet) -> tuple[None, str]:
-    """The construction branch that builds the tree, for the coverage tally;
-    the certificate does not carry it, so the decision is made again."""
-    return (None, trifree_complement_tree(complement(g)).label)
+def _trifree_branch(g: Graph, cert: Certificate) -> tuple[None, str | None]:
+    """The construction branch that built the tree, for the coverage tally."""
+    return (None, cert.branch)
 
 
 def sweep_trifree(seeded: int = 300, workers: int = 1, max_n: int = 6) -> SweepReport:

@@ -33,6 +33,80 @@ def test_splitmix_reference_values():
     assert rng.next() == 0x06C45D188009454F
 
 
+# A frozen copy of the splitmix step as it was before outputs were drawn
+# by rows, and of the two generators that drew one output per pair.
+
+_MASK64 = (1 << 64) - 1
+
+
+class _FrozenSplitMix:
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+
+    def next(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) & _MASK64
+
+
+def _frozen_gen_random(n, p, seed):
+    rng = _FrozenSplitMix(seed)
+    threshold = int(p * (1 << 64))
+    es = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.next() < threshold:
+                es.append((u, v))
+    return Graph(n, es)
+
+
+def _frozen_gen_random_split(s, t, p, seed):
+    rng = _FrozenSplitMix(seed)
+    threshold = int(p * (1 << 64))
+    es = [(u, v) for u in range(s, s + t) for v in range(u + 1, s + t)]
+    for x in range(s):
+        for y in range(s, s + t):
+            if rng.next() < threshold:
+                es.append((x, y))
+    return Graph(s + t, es)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, -3])
+def test_splitmix_draws_match_successive_frozen_steps(seed):
+    frozen = _FrozenSplitMix(seed)
+    rng = _SplitMix(seed)
+    for k in (0, 1, 5, 64):
+        assert rng.draws(k) == [frozen.next() for _ in range(k)]
+    assert rng.next() == frozen.next()
+    assert rng.state == frozen.state
+
+
+def test_gen_random_matches_the_frozen_pair_loop():
+    for n in range(13):
+        for p in (0.0, 0.3, 0.5, 0.85, 1.0):
+            for seed in range(8):
+                g, want = gen_random(n, p, seed), _frozen_gen_random(n, p, seed)
+                assert g == want and g.edge_set() == want.edge_set(), (n, p, seed)
+
+
+def test_gen_random_split_matches_the_frozen_pair_loop():
+    for s in range(7):
+        for t in range(1, 6):
+            for p in (0.0, 0.3, 0.6, 0.9, 1.0):
+                for seed in range(6):
+                    g, sp = gen_random_split(s, t, p, seed)
+                    want = _frozen_gen_random_split(s, t, p, seed)
+                    assert g == want and g.edge_set() == want.edge_set(), (s, t, p, seed)
+                    assert sp == SplitPartition(frozenset(range(s)), tuple(range(s, s + t)))
+
+
+def test_gen_random_rejects_a_negative_order():
+    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative, got -1$"):
+        gen_random(-1, 0.5, 0)
+
+
 def test_gen_random_deterministic():
     a = gen_random(8, 0.5, 42)
     b = gen_random(8, 0.5, 42)
