@@ -2,7 +2,8 @@
 
 Graph wire format is a plain edge list: an ``n m`` header with n at most
 ``_MAX_VERTICES``, then m lines ``u v`` with 0-based vertex ids below n,
-LF separated, ``#`` starting a comment that runs to end of line.  Every
+LF separated, ``#`` starting a comment that runs to end of line.  Fields
+are separated by spaces and tabs, and a line may end in one CR.  Every
 number is ASCII digits with an optional leading ``-``.
 Certificates are line oriented too: a ``VERDICT method`` header, then
 ``T u v`` witness edges, ``P name:a,b`` vertex parts, ``R reason [args]``,
@@ -19,7 +20,7 @@ import inspect
 import os
 import sys
 from collections.abc import Callable
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dense_tree import odd_spanning_tree_dense
 from .errors import (
@@ -59,7 +60,6 @@ from .graph_core import (
     is_connected,
     is_triangle_free,
 )
-from .odd_factor import connected_odd_factor
 from .oracle import (
     ODD_TREE_VERTEX_CAP,
     find_odd_spanning_tree_bruteforce,
@@ -72,9 +72,12 @@ from .split import (
     find_split_partition,
     split_odd_spanning_tree,
 )
-from .sweep import UNIVERSES
-from .tree_packing import PackingOutcome, PartitionCertificate, verify_packing
 from .trifree import trifree_complement_tree
+
+# sweep, odd_factor and tree_packing are imported where they are used, so
+# that check, verify and construct start without them
+if TYPE_CHECKING:
+    from .tree_packing import PartitionCertificate
 
 EXISTS = "EXISTS"
 NOT_EXISTS = "NOT_EXISTS"
@@ -114,19 +117,37 @@ _MAX_VERTICES = 100_000
 
 def _ascii_int(field: str) -> int:
     """int() of a field of ASCII digits with an optional leading '-';
-    surrounding whitespace is dropped, as int() drops it."""
-    body = field.strip()
+    surrounding spaces and tabs are dropped, as int() drops them."""
+    body = field.strip(" \t")
     digits = body[1:] if body[:1] == "-" else body
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a number: {field!r}")
     return int(body)
 
 
-def _number_reader(text: str) -> Callable[[str], int]:
-    """The reader of text's number fields: ASCII digits, optionally after
-    one '-'.  int() reads more only through '+', '_' or a non-ASCII
-    character, so a text without them gets plain int()."""
-    return int if text.isascii() and "+" not in text and "_" not in text else _ascii_int
+def _fields(line: str) -> list[str]:
+    """The fields of a line: the runs between spaces and tabs, once a CR
+    that ends the line is dropped."""
+    if line[-1:] == "\r":
+        line = line[:-1]
+    return [f for f in line.replace("\t", " ").split(" ") if f]
+
+
+def _text_reader(text: str) -> tuple[Callable[[str], list[str]], Callable[[str], int]]:
+    """How to split text's lines into fields and read its numbers.
+
+    str.split() also splits at CR, VT, FF, the ASCII separators
+    0x1c-0x1f and non-ASCII spaces, and int() also reads '+', '_' and
+    non-ASCII digits.  A text with none of these is read with str.split()
+    and int() themselves; the test is a few scans, cheaper than a check
+    per field.
+    """
+    plain = (
+        text.isascii() and "+" not in text and "_" not in text and "\r" not in text
+        and "\x0b" not in text and "\x0c" not in text and "\x1c" not in text
+        and "\x1d" not in text and "\x1e" not in text and "\x1f" not in text
+    )
+    return (str.split, int) if plain else (_fields, _ascii_int)
 
 
 def parse_graph(text: str) -> Graph:
@@ -135,11 +156,11 @@ def parse_graph(text: str) -> Graph:
     One pass over the edge lines checks each one and fills the neighbour
     sets, which become the graph as they stand.
     """
-    num = _number_reader(text)
+    split, num = _text_reader(text)
     lines = text.split("\n")
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-    rows = [(lineno, parts) for lineno, parts in enumerate(map(str.split, lines), 1) if parts]
+    rows = [(lineno, parts) for lineno, parts in enumerate(map(split, lines), 1) if parts]
     if not rows:
         raise ParseError(1, "missing 'n m' header")
     lineno, head = rows[0]
@@ -208,32 +229,31 @@ def parse_certificate(text: str) -> Certificate:
     # one line per edge, part name, R and C: a repeat would show a claim
     # that is never checked
     seen: set[tuple[str, object]] = set()
-    num = _number_reader(text)
+    split, num = _text_reader(text)
     for lineno, raw in enumerate(text.split("\n"), 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        fields = split(raw.split("#", 1)[0])
+        if not fields:
             continue
         if header is None:
-            bits = body.split()
-            if len(bits) != 2 or bits[0] not in _VERDICT_EXIT:
+            if len(fields) != 2 or fields[0] not in _VERDICT_EXIT:
                 raise ParseError(lineno, "expected 'VERDICT method' header")
-            header = (bits[0], bits[1])
+            header = (fields[0], fields[1])
             continue
-        tag, *tail = body.split(None, 1)  # the tag ends at any whitespace, as in the header
-        rest = tail[0] if tail else ""
+        tag, args = fields[0], fields[1:]
         key: object = None
         try:
             if tag == "T":
-                u, v = map(num, rest.split())
+                u, v = map(num, args)
                 key = edge(u, v)
                 edges.add(key)
             elif tag == "P":
-                key, _, csv = rest.partition(":")
+                key, _, csv = " ".join(args).partition(":")
                 parts.append((key, tuple(num(x) for x in csv.split(",") if x != "")))
             elif tag == "R":
-                reason = " ".join(rest.split())
+                reason = " ".join(args)
             elif tag == "C":
-                count = num(rest)
+                (value,) = args
+                count = num(value)
             else:
                 raise ParseError(lineno, f"unknown certificate line tag {tag!r}")
         except ValueError:
@@ -351,6 +371,8 @@ def recheck(g: Graph, cert: Certificate) -> str | None:
     elif (verdict, method) == (UNKNOWN, "oracle-capped"):
         failure = None if g.n > ODD_TREE_VERTEX_CAP else "within-size-cap"
     elif (verdict, method) == (UNKNOWN, "tree-packing"):
+        from .tree_packing import PackingOutcome, PartitionCertificate, verify_packing
+
         pc = PartitionCertificate(tuple(frozenset(vs) for _, vs in cert.parts), cert.count)
         written = _no_packing(pc)
         failure = None if verify_packing(g, PackingOutcome(cert=pc)) else "partition-rejected"
@@ -448,6 +470,9 @@ def _double_star(g: Graph) -> Certificate:
 
 
 def _factor(g: Graph) -> Certificate:
+    from .odd_factor import connected_odd_factor
+    from .tree_packing import PartitionCertificate
+
     # tested before the factor's own odd-order test, so that a disconnected
     # graph of odd order is answered as disconnected
     if not is_connected(g):
@@ -601,6 +626,9 @@ def _cmd_info(args) -> int:
     return 0
 
 
+# the ``oddspan sweep`` flags, in this order; each names ``sweep.sweep_<name>``
+SWEEP_UNIVERSES = ("dense", "split", "trifree", "packing", "factor", "bipartition")
+
 # past --n 7 the exhaustive part walks 2^28 edge masks or more; 10,000
 # seeded cases take at most about 30,000 draws, far inside _seeded's limit
 _SWEEP_BOUNDS = {"n": 7, "cap": 10_000}
@@ -618,7 +646,9 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"oddspan sweep: error: {exc}", file=sys.stderr)
         return EX_USAGE
-    run = UNIVERSES[args.universe]
+    from . import sweep
+
+    run = getattr(sweep, f"sweep_{args.universe}")
     # a universe without a seeded part ignores --cap, one without an
     # exhaustive part ignores --n; unset --cap keeps the universe's default
     given = {"workers": workers, "max_n": args.n, "seeded": args.cap}
@@ -669,7 +699,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run an oracle cross-check universe")
     what = p.add_mutually_exclusive_group(required=True)
-    for name in UNIVERSES:
+    for name in SWEEP_UNIVERSES:
         what.add_argument(f"--{name}", dest="universe", action="store_const", const=name)
     p.add_argument("--n", type=int, default=6, help="exhaustive universe size cap, 0..7")
     p.add_argument("--cap", type=int, default=None, help="seeded sample size, 0..10000")

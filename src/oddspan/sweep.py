@@ -23,8 +23,9 @@ import multiprocessing
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import cli
 from .errors import Disconnected, EmptyGraph
 from .families import (
     gen_complete_bipartite,
@@ -48,9 +49,6 @@ from .graph_core import (
 from .oracle import ODD_TREE_VERTEX_CAP, enumerate_spanning_trees, find_odd_spanning_tree_bruteforce
 from .split import find_split_partition, split_no_tree_condition
 from .tree_packing import exhaustive_pair_search, two_edge_disjoint_spanning_trees, verify_packing
-
-if TYPE_CHECKING:
-    from .cli import Certificate
 
 # what a checker found on one case: (disagreement, verdict, coverage shape)
 Outcome = tuple[str | None, str | None, str | None]
@@ -252,7 +250,7 @@ class _Row(NamedTuple):
     certificate) to (failure, coverage shape)."""
 
     names: tuple[str, ...]
-    extra: Callable[[Graph, Certificate], tuple[str | None, str | None]] | None = None
+    extra: Callable[[Graph, cli.Certificate], tuple[str | None, str | None]] | None = None
 
 
 def _oracle_finds_tree(g: Graph) -> bool:
@@ -263,8 +261,6 @@ def _oracle_finds_tree(g: Graph) -> bool:
 
 def _method_case(row: _Row, g: Graph) -> Outcome:
     """Answer the case through ``cli.run_method`` and check the answer."""
-    from . import cli  # at call time: cli imports this module for its sweep flags
-
     try:
         cert = cli.run_method(g, *row.names)
     except AssertionError as exc:  # a witness that failed verification where it was built
@@ -298,7 +294,7 @@ def sweep_dense(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
     return _report(title, partial(_method_case, _Row(("dense",))), cases, workers)
 
 
-def _split_tree_checks(g: Graph, cert: Certificate) -> tuple[str | None, None]:
+def _split_tree_checks(g: Graph, cert: cli.Certificate) -> tuple[str | None, None]:
     """Beside the verified tree: the nonexistence criterion must not hold,
     and the tree hangs every independent-side vertex as a leaf."""
     sp = find_split_partition(g)
@@ -333,7 +329,7 @@ def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
     return _report(title, partial(_method_case, row), cases, workers)
 
 
-def _trifree_branch(g: Graph, cert: Certificate) -> tuple[None, str | None]:
+def _trifree_branch(g: Graph, cert: cli.Certificate) -> tuple[None, str | None]:
     """The construction branch that built the tree, for the coverage tally."""
     return (None, cert.branch)
 
@@ -423,13 +419,3 @@ def sweep_bipartition(seeded: int = 200, workers: int = 1, max_n: int = 6) -> Sw
     title = f"connected graphs n<={max_n} plus {seeded} seeded non-bipartite n=7"
     return _report(title, _bipartition_case, cases, workers)
 
-
-# name -> sweep; the ``oddspan sweep`` flags, in this order
-UNIVERSES = {
-    "dense": sweep_dense,
-    "split": sweep_split,
-    "trifree": sweep_trifree,
-    "packing": sweep_packing,
-    "factor": sweep_factor,
-    "bipartition": sweep_bipartition,
-}

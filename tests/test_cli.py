@@ -14,7 +14,7 @@ import pytest
 
 import oddspan
 from common import cycle, es
-from oddspan import cli, graph_core, sweep
+from oddspan import cli, graph_core, oracle, sweep, tree_packing
 from oddspan.cli import (
     Certificate,
     decide,
@@ -150,6 +150,8 @@ def test_parse_certificate_takes_tabs_after_each_tag():
         header, body = text.split("\n", 1)
         tabbed = header + "\n" + body.replace(" ", "\t")
         assert parse_certificate(tabbed) == parse_certificate(text), tabbed
+        # one CR may end each line
+        assert parse_certificate(text.replace("\n", "\r\n")) == parse_certificate(text)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +160,9 @@ def test_parse_certificate_takes_tabs_after_each_tag():
      # int() reads these, but a number is ASCII digits after at most a '-',
      # and a line ends at LF only
      "T \u0660 \u0661", "T +0 1", "T 0 1_0", "T \uff10 1", "P left:+0", "P left:0,\u0661",
-     "C 1_0", "C \u0663", "T 0 1\x1cT 0 2", "T 0 1\u2028T 0 2", "C 1\x85C 2"],
+     "C 1_0", "C \u0663", "T 0 1\x1cT 0 2", "T 0 1\u2028T 0 2", "C 1\x85C 2",
+     # and fields are separated at spaces and tabs alone
+     "T 0\xa01", "T 0\x1f1", "T\x0b0 1"],
 )
 def test_parse_certificate_non_integer_field(capsys, tmp_path, line):
     with pytest.raises(ParseError) as info:
@@ -739,16 +743,23 @@ _ODD_TEXTS = [
     "2 1\n# 0 1\n0 1\n", "3 2\n0 1 #\n1 0\n", "2 1\n0 1 1\n", "2 1\n0\n",
     "2 1 1\n0 1\n", "2\n", "2 x\n", "-0 0\n", "2 -1\n", "1 0\n# 0 0\n",
     "2 1\n0 +1\n", "2 1\n0 \u0661\n", "2 1\n0 1_0\n", "3 2\n0 1\x0c1 2\n", "2 1\r0 1\n",
-    "2 1 # \uff12 +1_0\n0 1 # \u0661\n", "2 1\n-0 1\n", "2 1\n0 -1\n",
+    "2 1 # \uff12 +1_0\n0 1 # \u0661\n", "2 1 # \x0b\x1f\xa0\r\r\n0 1\n", "2 1\n-0 1\n",
+    "2 1\n0 -1\n", "2 1\n0\r1\n",
 ]
 
 # The texts whose outcome differs from the frozen reader's on purpose: a
-# line ends at LF only, and a number is ASCII digits after at most one
-# '-'.  Each maps to its error (line, text), or to the plain text that it
-# now reads as.
+# line ends at LF only, fields are separated at spaces and tabs, and a
+# number is ASCII digits after at most one '-'.  Each maps to its error
+# (line, text).
 _HEADER_ERROR = (1, "header must be two integers 'n m'")
 _STRICTER = {
-    "2\x0b1\n0 1\n": "2 1\n0 1\n",  # the vertical tab now separates fields, as a tab does
+    # fields are separated at spaces and tabs alone, and one CR may end a
+    # line; "2\x0b1\n0 1\n" is a header error again, as it was when the
+    # vertical tab ended a line
+    "2\xa01\n0\u30001\n": _HEADER_ERROR, "\x1f2 1\x1e\n0 1\n": _HEADER_ERROR,
+    "\x0c2 1\r\n0 1\r\n": _HEADER_ERROR,
+    "\r\n2 1\r\r\n0 1\n": (2, "header must be two integers 'n m'"),
+    "2 1\n0\r1\n": (2, "edge line must be two integers 'u v'"),
     "2 1\x0b0 1\n": _HEADER_ERROR, "2 1\x1c0 1\n": _HEADER_ERROR,
     "2 1\x1c\x1c0 1\n": _HEADER_ERROR, "2 1\x85 0 1\n": _HEADER_ERROR,
     "2 1\u20280 1\u2029": _HEADER_ERROR, "+2 1\n0 +1\n": _HEADER_ERROR,
@@ -762,10 +773,7 @@ _STRICTER = {
 
 
 def _stricter_outcome(text):
-    now = _STRICTER[text]
-    if isinstance(now, str):
-        return _parse_outcome(_frozen_parse_graph, now)
-    line, message = now
+    line, message = _STRICTER[text]
     return "error", line, f"line {line}: {message}"
 
 
@@ -1006,7 +1014,7 @@ def test_sweep_accepts_n_and_cap_at_both_ends(capsys, monkeypatch):
         seen.append((max_n, seeded))
         return sweep.SweepReport(universe="stand-in")
 
-    monkeypatch.setitem(cli.UNIVERSES, "dense", record)
+    monkeypatch.setattr(sweep, "sweep_dense", record)
     assert main(["sweep", "--dense", "--n", "7", "--cap", "10000"]) == 0
     assert seen == [(7, 10000)]
 
@@ -1149,12 +1157,14 @@ def test_check_split_nonexistence_certificates_recheck(in_process):
 
 def _count_verifies(monkeypatch) -> list[int]:
     """Count witness and partition verifications at every call site in the
-    package, the CLI's binding included, so a constructor that re-verifies
-    shows."""
+    package, the defining module's binding included, so a constructor that
+    re-verifies shows."""
     calls = [0]
     modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "oddspan"]
-    for name in ("verify_odd_spanning_tree", "verify_connected_odd_factor", "verify_packing"):
-        real = getattr(cli, name)
+    homes = {"verify_odd_spanning_tree": oracle, "verify_connected_odd_factor": oracle,
+             "verify_packing": tree_packing}
+    for name, home in homes.items():
+        real = getattr(home, name)
 
         def counted(*args, _real=real):
             calls[0] += 1

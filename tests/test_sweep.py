@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import oddspan
 from oddspan import sweep
+from oddspan.cli import emit_graph
 from oddspan.errors import EmptyGraph
 from oddspan.graph_core import Graph, is_connected
 from oddspan.sweep import all_connected_graphs, all_graphs
@@ -91,19 +93,40 @@ def test_exhaustive_part_enumerates_every_even_n_up_to_max_n(monkeypatch, univer
     assert "n<=8" in rep.universe
 
 
+# Modules that check, verify and construct must start without: the sweep,
+# its process pool and the two-tree packing.
+_LEAN = "{'oddspan.sweep', 'oddspan.tree_packing', 'oddspan.odd_factor', 'multiprocessing'}"
+
+
 @pytest.mark.parametrize(
     "script",
     [
-        # the method universes import cli when they check a case
         "import oddspan.sweep as s; assert s.sweep_dense(seeded=0, max_n=4).checked == 1",
-        "import oddspan.cli as c; assert 'dense' in c.UNIVERSES",
+        # the sweep flags name every sweep_<name> of the sweep module, and no other
+        "import oddspan.cli as c; import oddspan.sweep as s; names = c.SWEEP_UNIVERSES; "
+        "assert sorted(names) == sorted(k[6:] for k in vars(s) if k.startswith('sweep_'))",
+        f"import sys, oddspan.cli; assert not {_LEAN} & set(sys.modules)",
+        "import sys, oddspan.cli as c; "
+        "assert c.main(['check', sys.argv[1] + '/k13.txt']) == 0; "
+        f"assert not {_LEAN} & set(sys.modules)",
+        # the factor and the tree-packing check import what they use
+        "import contextlib, io, pathlib, sys, oddspan.cli as c; d = sys.argv[1]\n"
+        "assert c.main(['construct', '--factor', d + '/k6.txt']) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert c.main(['construct', '--factor', d + '/c4.txt']) == 2\n"
+        "assert out.getvalue().startswith('UNKNOWN tree-packing')\n"
+        "pathlib.Path(d, 'c4.cert').write_text(out.getvalue())\n"
+        "assert c.main(['verify', d + '/c4.txt', '--certificate', d + '/c4.cert']) == 0",
     ],
-    ids=["sweep-first", "cli-first"],
+    ids=["sweep-first", "cli-first", "cli-lean", "check-lean", "factor-lazy"],
 )
-def test_sweep_and_cli_import_in_either_order(script):
+def test_sweep_and_cli_import_in_either_order(script, tmp_path):
+    for name, text in (("k13", "4 3\n0 1\n0 2\n0 3\n"), ("c4", "4 4\n0 1\n1 2\n2 3\n0 3\n"),
+                       ("k6", emit_graph(Graph(6, combinations(range(6), 2))))):
+        (tmp_path / f"{name}.txt").write_text(text)
     src = str(Path(oddspan.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, str(tmp_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
