@@ -197,8 +197,11 @@ def parse_graph(text: str) -> Graph:
 
 
 def emit_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edge_set()))
+    """The edge-list text of g, edges in lexicographic order: vertex by
+    vertex, each one's higher neighbours ascending."""
+    lines = [f"{g.n} {sum(map(len, g.adj)) // 2}"]
+    for u, nbrs in enumerate(g.adj):
+        lines.extend(f"{u} {v}" for v in sorted(nbrs) if v > u)
     return "\n".join(lines) + "\n"
 
 
@@ -538,7 +541,8 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        with open(path, encoding="utf-8") as fh:
+        # newline="" keeps CR and CRLF as they are, as stdin does
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -566,27 +570,35 @@ def _emit(cert: Certificate) -> int:
     return _VERDICT_EXIT[cert.verdict]
 
 
-# family -> (required flags, builder)
+# family -> (required flags, vertices beyond the flags' sum, builder)
 _FAMILIES = {
-    "complete": (("n",), lambda a: gen_complete(a.n)),
-    "complete-bipartite": (("s", "t"), lambda a: gen_complete_bipartite(a.s, a.t)),
-    "cbme": (("s", "t"), lambda a: gen_complete_bipartite_minus_edge(a.s, a.t)),
-    "c5k": (("k",), lambda a: gen_c5k(a.k)),
-    "random": (("n",), lambda a: gen_random(a.n, a.p, a.seed)),
-    "random-split": (("s", "t"), lambda a: gen_random_split(a.s, a.t, a.p, a.seed)[0]),
+    "complete": (("n",), 0, lambda a: gen_complete(a.n)),
+    "complete-bipartite": (("s", "t"), 0, lambda a: gen_complete_bipartite(a.s, a.t)),
+    "cbme": (("s", "t"), 0, lambda a: gen_complete_bipartite_minus_edge(a.s, a.t)),
+    "c5k": (("k",), 4, lambda a: gen_c5k(a.k)),
+    "random": (("n",), 0, lambda a: gen_random(a.n, a.p, a.seed)),
+    "random-split": (("s", "t"), 0, lambda a: gen_random_split(a.s, a.t, a.p, a.seed)[0]),
     "bridge-complete": (
         ("s", "t"),
+        0,
         lambda a: gen_bridge_join(gen_complete(a.s), gen_complete(a.t), 0, 0),
     ),
 }
 
 
 def _cmd_gen(args) -> int:
-    required, build = _FAMILIES[args.family]
+    required, extra, build = _FAMILIES[args.family]
     missing = [k for k in required if getattr(args, k) is None]
     if missing:
         flags = ", ".join("--" + k for k in missing)
         print(f"oddspan gen: error: family {args.family} requires {flags}", file=sys.stderr)
+        return EX_USAGE
+    # refused before anything is built, so that parse_graph reads back
+    # every graph gen prints; a negative flag is left to the builder
+    n = extra + sum(max(getattr(args, k), 0) for k in required)
+    if n > _MAX_VERTICES:
+        print(f"oddspan gen: error: family {args.family} would have {n} vertices, "
+              f"above the limit {_MAX_VERTICES}", file=sys.stderr)
         return EX_USAGE
     sys.stdout.write(emit_graph(build(args)))
     return 0

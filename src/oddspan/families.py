@@ -7,7 +7,11 @@ every platform; golden files depend on this.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, combinations, compress, product
+from typing import Iterable, Iterator
 
 from . import trifree
 from .errors import BadWitness, Disconnected, EmptyGraph, OddOrder
@@ -29,25 +33,89 @@ SPLIT_CONDITION = "split-condition"
 EXCLUDED_FAMILY = "excluded-family"
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# The block kernel lays k consecutive outputs in 128-bit lanes of one
+# int, lane j holding the (j + 1)-th, and runs both rounds on every lane
+# at once.  Each lane is masked to 64 bits after every right shift,
+# which drops the bits pulled down from the lane above, so a 64 x 64-bit
+# product still fits its lane.  A stream is drawn _BLOCK lanes at a
+# time, which bounds the memory for draws at any length.
+_BLOCK = 4096
+
+
+@cache
+def _block_constants() -> tuple[int, int, int]:
+    """1 in every lane, 2^64 - 1 in every lane, (j + 1) * gamma mod 2^64
+    in lane j; built on first use, by doubling the lane count."""
+    ones = ramp = 1
+    lanes = 1
+    while lanes < _BLOCK:
+        ramp += (ramp + lanes * ones) << 128 * lanes
+        ones += ones << 128 * lanes
+        lanes *= 2
+    low = ones * _MASK64
+    return ones, low, (_GAMMA * ramp) & low
+
+
+def _lanes(state: int, k: int) -> tuple[int, int]:
+    """The int with 1 in each of k <= _BLOCK lanes, and the k outputs
+    that follow state in those lanes."""
+    ones, low, steps = _block_constants()
+    if k < _BLOCK:
+        ones, steps = ones >> 128 * (_BLOCK - k), steps & ((1 << 128 * k) - 1)
+    z = (state * ones + steps) & low
+    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    return ones, (z ^ (z >> 31)) & low
+
+
+def _keep_bits(state: int, k: int, bias: int) -> bytes:
+    """One byte per lane: 1 where the output is below threshold.
+
+    bias is 2^64 + threshold - 1, so bias minus an output lies in
+    0..2^65 - 1, no lane borrows from the next, and bit 64 (byte 8 of
+    the little-endian lane) is set exactly when the output is below
+    threshold.
+    """
+    ones, z = _lanes(state, k)
+    return (bias * ones - z).to_bytes(16 * k, "little")[8::16]
 
 
 class _SplitMix:
-    """splitmix64: golden-ratio increment plus two xor-multiply rounds."""
+    """splitmix64: golden-ratio increment plus two xor-multiply rounds,
+    computed a block of outputs at a time."""
 
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
 
+    def _blocks(self, k: int) -> Iterator[tuple[int, int]]:
+        """Move the state past k outputs; return, for each block of
+        them, the state before the block and its lane count."""
+        state = self.state
+        self.state = (state + k * _GAMMA) & _MASK64
+        return (((state + i * _GAMMA) & _MASK64, min(_BLOCK, k - i)) for i in range(0, k, _BLOCK))
+
     def draws(self, k: int) -> list[int]:
         """The next k outputs, in order."""
-        state = self.state
-        out = []
-        for _ in range(k):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            out.append(z ^ (z >> 31))
-        self.state = state
+        out: list[int] = []
+        for start, size in self._blocks(k):
+            _, z = _lanes(start, size)
+            # an output is the low word of its lane; in big-endian bytes
+            # the lanes run from last to first
+            words = memoryview(z.to_bytes(16 * size, sys.byteorder)).cast("Q")
+            out += words[::2] if sys.byteorder == "little" else words[::-2]
         return out
+
+    def keeps(self, k: int, threshold: int) -> Iterable[int]:
+        """For each of the next k outputs, 1 if it is below threshold
+        (0..2^64), else 0.
+
+        The state moves past all k outputs at once; the bits are
+        computed a block at a time as they are read.
+        """
+        bias, blocks = (1 << 64) + threshold - 1, self._blocks(k)
+        return chain.from_iterable(_keep_bits(start, size, bias) for start, size in blocks)
 
     def next(self) -> int:
         return self.draws(1)[0]
@@ -98,44 +166,40 @@ def gen_bridge_join(g1: Graph, g2: Graph, u: int, v: int) -> Graph:
 def gen_random(n: int, p: float, seed: int) -> Graph:
     """G(n, p) under the documented splitmix stream, one draw per pair.
 
-    Pairs are drawn in lexicographic order, one row of u's pairs with
-    the vertices above u per draw call, so the graph is a pure function
-    of (n, p, seed).
+    Pair i in lexicographic order is an edge when the stream's i-th
+    output is below int(p * 2^64), so the graph is a pure function of
+    (n, p, seed).  The keep bits come from the block kernel, a block of
+    pairs at a time.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    rng = _SplitMix(seed)
-    threshold = int(p * (1 << 64))
+    keep = _SplitMix(seed).keeps(n * (n - 1) // 2, int(p * (1 << 64)))
     nbrs: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for v, z in enumerate(rng.draws(n - 1 - u), u + 1):
-            if z < threshold:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
+    for u, v in compress(combinations(range(n), 2), keep):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     return Graph._from_neighbours(nbrs)
 
 
 def gen_random_split(s: int, t: int, p: float, seed: int) -> tuple[Graph, SplitPartition]:
     """Random split graph: clique on Y, independent X, seeded X-Y edges.
 
-    X = 0..s-1, Y = s..s+t-1; each x draws its row of pairs with Y in
-    one call.  Connectivity is not guaranteed; callers filter.
+    X = 0..s-1, Y = s..s+t-1; pair i of the x-major pairs (x, y) is an
+    edge when the stream's i-th output is below int(p * 2^64).
+    Connectivity is not guaranteed; callers filter.
     """
     if s < 0 or t < 1:
         raise ValueError(f"need s >= 0 and t >= 1, got ({s}, {t})")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    rng = _SplitMix(seed)
-    threshold = int(p * (1 << 64))
+    keep = _SplitMix(seed).keeps(s * t, int(p * (1 << 64)))
     ys = range(s, s + t)
     nbrs: list[set[int]] = [set() for _ in range(s)] + [set(ys) - {y} for y in ys]
-    for x in range(s):
-        for y, z in zip(ys, rng.draws(t)):
-            if z < threshold:
-                nbrs[x].add(y)
-                nbrs[y].add(x)
+    for x, y in compress(product(range(s), ys), keep):
+        nbrs[x].add(y)
+        nbrs[y].add(x)
     sp = SplitPartition(x=frozenset(range(s)), y=tuple(ys))
     return Graph._from_neighbours(nbrs), sp
 

@@ -101,6 +101,15 @@ def test_graph_round_trip():
         assert parse_graph(emit_graph(g)) == g
 
 
+def test_emit_graph_lists_the_sorted_edge_set():
+    # emit_graph walks the neighbour sets; the text must be the one the
+    # sorted edge set gives
+    for seed in range(60):
+        g = gen_random(seed % 30, (0.1, 0.5, 0.9)[seed % 3], seed)
+        want = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in sorted(g.edge_set())]
+        assert emit_graph(g) == "\n".join(want) + "\n"
+
+
 def test_certificate_round_trip():
     cert = Certificate(
         "NOT_EXISTS",
@@ -455,6 +464,31 @@ def test_verify_subcommand(capsys, tmp_path):
     # the certificate's header says what it claims, so there is no flag to pick a check
     for flag in ("--tree", "--factor"):
         assert _verify(capsys, tmp_path, K4, out, flag)[0] == 64
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_a_file_and_stdin_read_the_same_bytes(capsys, tmp_path, eol):
+    # a file is opened without newline translation, so CR and CRLF reach
+    # the readers exactly as they do through stdin
+    graph_text = f"2 1{eol}0 1{eol}"
+    cert_text = f"EXISTS split-criterion{eol}T 0 1{eol}"
+    graph, cert = tmp_path / "graph.txt", tmp_path / "cert.txt"
+    graph.write_bytes(graph_text.encode())
+    cert.write_bytes(cert_text.encode())
+
+    def run(argv, stdin=""):
+        old = sys.stdin
+        sys.stdin = io.StringIO(stdin)
+        try:
+            code = main(argv)
+        finally:
+            sys.stdin = old
+        return (code, *capsys.readouterr())
+
+    assert run(["check", str(graph)]) == run(["check", "-"], graph_text)
+    by_path = run(["verify", str(graph), "--certificate", str(cert)])
+    assert by_path == run(["verify", "-", "--certificate", str(cert)], graph_text)
+    assert by_path == run(["verify", str(graph), "--certificate", "-"], cert_text)
 
 
 def test_verify_checks_a_double_star_in_the_complement(capsys, tmp_path):
@@ -817,7 +851,7 @@ def test_parse_graph_bounds_the_vertex_count():
         parse_graph(f"# big\n{cli._MAX_VERTICES + 1} 0\n")
 
 
-def test_exit_codes_for_bad_input(capsys):
+def test_exit_codes_for_bad_input(capsys, monkeypatch):
     cases = [
         (("check",), "3 1\n0 0\n", "error: line 2: self loop at 0"),
         (("check",), "2 2\n0 1\n1 0\n", "error: line 3: edge 0 1 repeated"),
@@ -843,6 +877,20 @@ def test_exit_codes_for_bad_input(capsys):
             sys.stdin = old
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (65, "", err + "\n"), argv
+    # gen refuses an order that parse_graph would refuse, before it builds anything
+    for name in dir(cli):
+        if name.startswith("gen_"):
+            monkeypatch.setattr(cli, name, lambda *a: pytest.fail("gen built a graph"))
+    limit = cli._MAX_VERTICES
+    for argv, n in [
+        (("random", "--n", str(limit + 1)), limit + 1),
+        (("bridge-complete", "--s", str(limit), "--t", "1"), limit + 1),
+        (("random-split", "--s", str(10**12), "--t", "-5"), 10**12),
+        (("c5k", "--k", str(limit - 3)), limit + 1),
+    ]:
+        assert main(["gen", "--family", *argv]) == 64, argv
+        err = f"oddspan gen: error: family {argv[0]} would have {n} vertices, above the limit {limit}"
+        assert capsys.readouterr() == ("", err + "\n"), argv
 
 
 def test_construct_double_star_on_disconnected_input(capsys):

@@ -1,13 +1,14 @@
 import pytest
 
 from common import complete, cycle, es, path
-from oddspan import trifree
+from oddspan import families, trifree
 from oddspan.errors import BadWitness, Disconnected, EmptyGraph, OddOrder
 from oddspan.families import (
     BIPARTITE_EVEN_PARTS,
     BRIDGE_EVEN_SIDES,
     EXCLUDED_FAMILY,
     SPLIT_CONDITION,
+    _BLOCK,
     NonexistenceReason,
     _SplitMix,
     check_nonexistence,
@@ -100,6 +101,87 @@ def test_gen_random_split_matches_the_frozen_pair_loop():
                     want = _frozen_gen_random_split(s, t, p, seed)
                     assert g == want and g.edge_set() == want.edge_set(), (s, t, p, seed)
                     assert sp == SplitPartition(frozenset(range(s)), tuple(range(s, s + t)))
+
+
+# the block kernel against the frozen step: across block boundaries, at
+# the extreme thresholds, and from seeds that wrap modulo 2^64
+_KS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+_PS = (0.0, 2.0**-60, 0.5, 1 - 2.0**-53, 1.0)
+_SEEDS = (-(2**63) - 11, -1, 0, 2**64, 2**64 + 12345, 3 * 2**70 + 1)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_block_kernel_matches_the_frozen_steps_across_blocks(seed):
+    frozen = _FrozenSplitMix(seed)
+    want = [frozen.next() for _ in range(max(_KS) + 1)]
+    for k in _KS:
+        rng = _SplitMix(seed)
+        assert rng.draws(k) == want[:k], k
+        assert rng.next() == want[k], k
+        for p in _PS:
+            threshold = int(p * (1 << 64))
+            rng = _SplitMix(seed)
+            assert list(rng.keeps(k, threshold)) == [int(z < threshold) for z in want[:k]], (k, p)
+            assert rng.next() == want[k], (k, p)
+
+
+def test_keeps_at_the_extreme_thresholds():
+    rng = _SplitMix(5)
+    assert set(rng.keeps(2 * _BLOCK + 1, 0)) == {0}
+    assert set(rng.keeps(2 * _BLOCK + 1, 1 << 64)) == {1}
+    assert list(rng.keeps(0, 1 << 63)) == [] and rng.draws(0) == []
+    # an output equal to the threshold is not kept; one below it is
+    z = _SplitMix(9).draws(_BLOCK + 1)
+    for i in (0, _BLOCK - 1, _BLOCK):
+        for threshold in (z[i], z[i] + 1):
+            got = list(_SplitMix(9).keeps(_BLOCK + 1, threshold))
+            assert got == [int(x < threshold) for x in z], (i, threshold)
+
+
+@pytest.mark.parametrize("k, j", [(0, 3), (1, 1), (7, _BLOCK), (_BLOCK - 1, 2), (_BLOCK + 1, _BLOCK)])
+def test_draws_continue_where_the_last_call_stopped(k, j):
+    rng = _SplitMix(-7)
+    first, second = rng.draws(k), rng.draws(j)
+    whole = _SplitMix(-7)
+    assert first + second == whole.draws(k + j)
+    assert rng.state == whole.state
+
+
+def test_keep_bits_are_computed_a_block_at_a_time(monkeypatch):
+    # the draws for one graph never sit in one int beyond a block
+    sizes = []
+    real = families._lanes
+
+    def spy(state, k):
+        sizes.append(k)
+        return real(state, k)
+
+    monkeypatch.setattr(families, "_lanes", spy)
+    keep = _SplitMix(3).keeps(5 * _BLOCK + 2, 1 << 63)
+    assert sizes == []
+    assert len(list(keep)) == 5 * _BLOCK + 2
+    assert sizes == [_BLOCK] * 5 + [2]
+    n = 130  # 8385 pairs: two full blocks and a part
+    g = gen_random(n, 0.5, 1)
+    assert sizes[6:] == [_BLOCK, _BLOCK, n * (n - 1) // 2 - 2 * _BLOCK]
+    assert g == _frozen_gen_random(n, 0.5, 1)
+
+
+@pytest.mark.parametrize("p, seed", [(0.0, 3), (2.0**-60, -1), (0.5, 2**64 + 9), (0.05, 11),
+                                     (1 - 2.0**-53, 0), (1.0, 4)])
+def test_gen_random_at_n_300_matches_the_frozen_pair_loop(p, seed):
+    g, want = gen_random(300, p, seed), _frozen_gen_random(300, p, seed)
+    assert g == want and g.edge_set() == want.edge_set()
+
+
+@pytest.mark.parametrize("p", _PS)
+def test_gen_random_split_matches_the_frozen_pair_loop_at_every_threshold(p):
+    for s in range(7):
+        for t in range(1, 6):
+            for seed in (-5, 0, 2**64 + 1):
+                g, _ = gen_random_split(s, t, p, seed)
+                want = _frozen_gen_random_split(s, t, p, seed)
+                assert g == want and g.edge_set() == want.edge_set(), (s, t, seed)
 
 
 def test_gen_random_rejects_a_negative_order():
