@@ -16,10 +16,10 @@ Exit codes: 0 EXISTS or plain success, 1 NOT_EXISTS, 2 UNKNOWN,
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 from collections.abc import Callable
+from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dense_tree import odd_spanning_tree_dense
@@ -570,37 +570,56 @@ def _emit(cert: Certificate) -> int:
     return _VERDICT_EXIT[cert.verdict]
 
 
-# family -> (required flags, vertices beyond the flags' sum, builder)
+# The largest edge count gen builds.  A graph costs a few hundred bytes
+# per edge until it is printed, so the bound keeps a run under about a
+# gigabyte; it admits K_2000 and G(10^4, p) for p up to 0.04.
+_MAX_EDGES = 2_000_000
+
+# family -> (required flags, vertices beyond the flags' sum, edges, builder);
+# edges(*flags, p) is the edge count, or for the seeded families its
+# expectation, with the flags clamped at 0 and p to [0, 1]
 _FAMILIES = {
-    "complete": (("n",), 0, lambda a: gen_complete(a.n)),
-    "complete-bipartite": (("s", "t"), 0, lambda a: gen_complete_bipartite(a.s, a.t)),
-    "cbme": (("s", "t"), 0, lambda a: gen_complete_bipartite_minus_edge(a.s, a.t)),
-    "c5k": (("k",), 4, lambda a: gen_c5k(a.k)),
-    "random": (("n",), 0, lambda a: gen_random(a.n, a.p, a.seed)),
-    "random-split": (("s", "t"), 0, lambda a: gen_random_split(a.s, a.t, a.p, a.seed)[0]),
-    "bridge-complete": (
-        ("s", "t"),
-        0,
-        lambda a: gen_bridge_join(gen_complete(a.s), gen_complete(a.t), 0, 0),
-    ),
+    "complete": (("n",), 0, lambda n, p: comb(n, 2), lambda a: gen_complete(a.n)),
+    "complete-bipartite": (("s", "t"), 0, lambda s, t, p: s * t,
+                           lambda a: gen_complete_bipartite(a.s, a.t)),
+    "cbme": (("s", "t"), 0, lambda s, t, p: s * t - 1,
+             lambda a: gen_complete_bipartite_minus_edge(a.s, a.t)),
+    "c5k": (("k",), 4, lambda k, p: 2 * k + 3, lambda a: gen_c5k(a.k)),
+    "random": (("n",), 0, lambda n, p: p * comb(n, 2), lambda a: gen_random(a.n, a.p, a.seed)),
+    "random-split": (("s", "t"), 0, lambda s, t, p: comb(t, 2) + p * s * t,
+                     lambda a: gen_random_split(a.s, a.t, a.p, a.seed)[0]),
+    "bridge-complete": (("s", "t"), 0, lambda s, t, p: comb(s, 2) + comb(t, 2) + 1,
+                        lambda a: gen_bridge_join(gen_complete(a.s), gen_complete(a.t), 0, 0)),
 }
 
 
+def _usage(command: str, why: str) -> int:
+    """Report a bad flag of ``oddspan <command>``; the usage exit code."""
+    print(f"oddspan {command}: error: {why}", file=sys.stderr)
+    return EX_USAGE
+
+
 def _cmd_gen(args) -> int:
-    required, extra, build = _FAMILIES[args.family]
-    missing = [k for k in required if getattr(args, k) is None]
+    required, extra, edges, build = _FAMILIES[args.family]
+    missing = ", ".join("--" + k for k in required if getattr(args, k) is None)
     if missing:
-        flags = ", ".join("--" + k for k in missing)
-        print(f"oddspan gen: error: family {args.family} requires {flags}", file=sys.stderr)
-        return EX_USAGE
+        return _usage("gen", f"family {args.family} requires {missing}")
     # refused before anything is built, so that parse_graph reads back
-    # every graph gen prints; a negative flag is left to the builder
-    n = extra + sum(max(getattr(args, k), 0) for k in required)
-    if n > _MAX_VERTICES:
-        print(f"oddspan gen: error: family {args.family} would have {n} vertices, "
-              f"above the limit {_MAX_VERTICES}", file=sys.stderr)
-        return EX_USAGE
-    sys.stdout.write(emit_graph(build(args)))
+    # every graph gen prints and no run outgrows memory; a bad flag value
+    # is left to the builder
+    sizes = [max(getattr(args, k), 0) for k in required]
+    n = extra + sum(sizes)
+    m = edges(*sizes, min(max(args.p, 0.0), 1.0)) if n <= _MAX_VERTICES else 0
+    for count, what, limit in ((n, "vertices", _MAX_VERTICES), (m, "edges", _MAX_EDGES)):
+        if count > limit:
+            about = "about " if isinstance(count, float) else ""
+            return _usage("gen", f"family {args.family} would have {about}{round(count)} {what}, "
+                                 f"above the limit {limit}")
+    try:
+        g = build(args)
+    except (ValueError, EmptyGraph) as exc:
+        return _usage("gen", str(exc))  # the flags are all the input gen reads
+    sys.stdout.write(emit_graph(g))
     return 0
 
 
@@ -650,14 +669,13 @@ def _cmd_sweep(args) -> int:
     for flag, top in _SWEEP_BOUNDS.items():
         value = getattr(args, flag)
         if value is not None and not 0 <= value <= top:
-            print(f"oddspan sweep: error: --{flag} must be in 0..{top}, got {value}",
-                  file=sys.stderr)
-            return EX_USAGE
+            return _usage("sweep", f"--{flag} must be in 0..{top}, got {value}")
     try:
         workers = _workers()
     except ValueError as exc:
-        print(f"oddspan sweep: error: {exc}", file=sys.stderr)
-        return EX_USAGE
+        return _usage("sweep", str(exc))
+    import inspect
+
     from . import sweep
 
     run = getattr(sweep, f"sweep_{args.universe}")

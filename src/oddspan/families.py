@@ -8,10 +8,9 @@ every platform; golden files depend on this.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, compress, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import trifree
 from .errors import BadWitness, Disconnected, EmptyGraph, OddOrder
@@ -204,8 +203,7 @@ def gen_random_split(s: int, t: int, p: float, seed: int) -> tuple[Graph, SplitP
     return Graph._from_neighbours(nbrs), sp
 
 
-@dataclass(frozen=True)
-class NonexistenceReason:
+class NonexistenceReason(NamedTuple):
     """A reason g has no odd spanning tree, with a re-checkable witness.
 
     kind is one of the module constants; the witness shape depends on it:
@@ -224,8 +222,8 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
     unknown family name) raise BadWitness; well-formed witnesses that
     simply fail to prove anything return False.
     """
+    w = r.witness
     if r.kind == BIPARTITE_EVEN_PARTS:
-        w = r.witness
         if not isinstance(w, Bipartition):
             raise BadWitness("expected a Bipartition witness")
         if sorted(w.left | w.right) != list(range(g.n)) or (w.left & w.right):
@@ -236,10 +234,10 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
             return False
         return all((u in w.left) != (v in w.left) for u, v in g.edge_set())
     if r.kind == BRIDGE_EVEN_SIDES:
-        w = r.witness
+        # the records are tuples too, so the ends must be ints
         if not (
             isinstance(w, tuple) and len(w) == 2
-            and all(0 <= v < g.n for v in w) and g.has_edge(*w)
+            and all(isinstance(v, int) and 0 <= v < g.n for v in w) and g.has_edge(*w)
         ):
             raise BadWitness("witness is not an edge of the graph")
         if not is_connected(g):
@@ -252,7 +250,6 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
         reached = g.n - bfs_distances(adj, u).count(-1)
         return reached < g.n and reached % 2 == 0 and g.n % 2 == 0
     if r.kind == SPLIT_CONDITION:
-        w = r.witness
         if not isinstance(w, SplitPartition):
             raise BadWitness("expected a SplitPartition witness")
         validate_partition(g, w)
@@ -260,7 +257,6 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
             return False
         return split_no_tree_condition(g, w)
     if r.kind == EXCLUDED_FAMILY:
-        w = r.witness
         if w not in trifree.EXCLUDED_FAMILIES:
             raise BadWitness(f"unknown excluded family {w!r}")
         h = complement(g)

@@ -8,8 +8,7 @@ of its inputs; Graph instances are treated as immutable after construction.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .errors import Disconnected, EmptyGraph, NotATree
 
@@ -115,8 +114,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """Two-coloring classes; normalized so vertex 0 sits in ``left``, so
     two equal splits compare equal."""
 
@@ -133,25 +131,17 @@ def degrees(edges: Iterable[Edge], n: int) -> list[int]:
     return d
 
 
-def _adjacency(edges: Iterable[Edge], n: int) -> list[list[int]] | None:
-    """Adjacency lists of edges on 0..n-1, or None if an end is out of range."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            return None
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def _tree_walk(t: EdgeSet, n: int) -> tuple[list[list[int]], list[int]] | None:
     """Adjacency lists of t and BFS depths from vertex 0, or None if t
     is not a spanning tree on 0..n-1."""
     if n < 1 or len(t) != n - 1:
         return None
-    adj = _adjacency(t, n)
-    if adj is None:
-        return None
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in t:
+        if not (0 <= u < n and 0 <= v < n):
+            return None
+        adj[u].append(v)
+        adj[v].append(u)
     dist = bfs_distances(adj, 0)
     return None if -1 in dist else (adj, dist)
 

@@ -9,10 +9,10 @@ are errors rather than silent truncation because an oracle must never lie.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Disconnected, SizeCap
-from .graph_core import EdgeSet, Graph, degrees, find_root, is_connected
+from .graph_core import EdgeSet, Graph, _tree_walk, degrees, find_root, is_connected
 
 NOT_SUBGRAPH = "not-subgraph"
 WRONG_EDGE_COUNT = "wrong-edge-count"
@@ -25,8 +25,7 @@ ODD_TREE_VERTEX_CAP = 10
 ODD_FACTOR_EDGE_CAP = 22
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of a verifier; ``vertex`` pinpoints degree/coverage failures."""
 
     ok: bool
@@ -41,21 +40,18 @@ def verify_odd_spanning_tree(g: Graph, t: EdgeSet) -> VerifyReport:
     """Check that t is a spanning tree of g with every degree odd.
 
     Checks run in a fixed order (subgraph, edge count, acyclicity, parity)
-    so the reported failure is deterministic.  n-1 acyclic edges form a
-    spanning tree, so no separate connectivity test is needed.
+    so the reported failure is deterministic.  graph_core's tree walk
+    decides acyclicity, and its adjacency lists give the degrees.
     """
     if not t <= g.edge_set():
         return VerifyReport(False, NOT_SUBGRAPH)
     if len(t) != g.n - 1:
         return VerifyReport(False, WRONG_EDGE_COUNT)
-    parent = list(range(g.n))
-    for u, v in sorted(t):
-        ru, rv = find_root(parent, u), find_root(parent, v)
-        if ru == rv:
-            return VerifyReport(False, HAS_CYCLE)
-        parent[ru] = rv
-    for v, d in enumerate(degrees(t, g.n)):
-        if d % 2 == 0:
+    walk = _tree_walk(t, g.n)
+    if walk is None:  # n - 1 edges of g that miss a vertex close a cycle
+        return VerifyReport(False, HAS_CYCLE)
+    for v, nbrs in enumerate(walk[0]):
+        if len(nbrs) % 2 == 0:
             return VerifyReport(False, EVEN_DEGREE_VERTEX, v)
     return _OK
 
@@ -63,14 +59,14 @@ def verify_odd_spanning_tree(g: Graph, t: EdgeSet) -> VerifyReport:
 def verify_connected_odd_factor(g: Graph, f: EdgeSet) -> VerifyReport:
     if not f <= g.edge_set():
         return VerifyReport(False, NOT_SUBGRAPH)
-    deg = degrees(f, g.n)
-    for v, d in enumerate(deg):
-        if d == 0:
+    h = Graph(g.n, f)
+    for v, nbrs in enumerate(h.adj):
+        if not nbrs:
             return VerifyReport(False, NOT_SPANNING, v)
-    if not is_connected(Graph(g.n, f)):
+    if not is_connected(h):
         return VerifyReport(False, NOT_CONNECTED)
-    for v, d in enumerate(deg):
-        if d % 2 == 0:
+    for v, nbrs in enumerate(h.adj):
+        if len(nbrs) % 2 == 0:
             return VerifyReport(False, EVEN_DEGREE_VERTEX, v)
     return _OK
 

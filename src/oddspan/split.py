@@ -14,7 +14,7 @@ connected graph of diameter at least four has one, as the paper shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadWitness, Disconnected, OddOrder
 from .graph_core import (
@@ -26,8 +26,7 @@ from .graph_core import (
 )
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(NamedTuple):
     """Split witness: X independent, Y a clique.  Y's order matters."""
 
     x: frozenset[int]

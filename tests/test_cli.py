@@ -863,8 +863,6 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch):
         (("construct", "--split"), C4, "error: input is not a split graph"),
         (("construct", "--trifree"), P6, "error: complement of input must be triangle-free"),
         (("construct", "--dense"), P6, "error: minimum degree 1 below required bound 4"),
-        (("gen", "--family", "cbme", "--s", "3", "--t", "2"), None,
-         "error: part sizes must be even and >= 2, got (3, 2)"),
         (("check", "/nonexistent/file.txt"), None,
          "error: [Errno 2] No such file or directory: '/nonexistent/file.txt'"),
     ]
@@ -877,6 +875,15 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch):
             sys.stdin = old
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (65, "", err + "\n"), argv
+    # a bad flag value is a usage error: gen reads no input data
+    for argv, err in [
+        (("cbme", "--s", "3", "--t", "2"), "part sizes must be even and >= 2, got (3, 2)"),
+        (("random", "--n", "-1"), "vertex count must be nonnegative, got -1"),
+        (("random", "--n", "4", "--p", "2"), "p must be in [0, 1], got 2.0"),
+        (("complete", "--n", "0"), "complete graph needs n >= 1"),
+    ]:
+        assert main(["gen", "--family", *argv]) == 64, argv
+        assert capsys.readouterr() == ("", f"oddspan gen: error: {err}\n"), argv
     # gen refuses an order that parse_graph would refuse, before it builds anything
     for name in dir(cli):
         if name.startswith("gen_"):
@@ -891,6 +898,30 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch):
         assert main(["gen", "--family", *argv]) == 64, argv
         err = f"oddspan gen: error: family {argv[0]} would have {n} vertices, above the limit {limit}"
         assert capsys.readouterr() == ("", err + "\n"), argv
+    # and a family whose flags fix more edges than gen builds, or for the
+    # seeded families more in expectation
+    limit = cli._MAX_EDGES
+    for argv, m in [
+        (("complete", "--n", "2001"), "2001000"),
+        (("complete-bipartite", "--s", "1000", "--t", "2001"), "2001000"),
+        (("cbme", "--s", "1000", "--t", "2002"), "2001999"),
+        (("bridge-complete", "--s", "2000", "--t", "64"), "2001017"),
+        (("random-split", "--s", "0", "--t", "2001"), "about 2001000"),
+        (("random-split", "--s", "4000", "--t", "1000", "--p", "0.4"), "about 2099500"),
+        (("random", "--n", "100000", "--p", "0.001"), "about 4999950"),
+        (("random", "--n", "3000", "--p", "7"), "about 4498500"),
+    ]:
+        assert main(["gen", "--family", *argv]) == 64, argv
+        err = f"oddspan gen: error: family {argv[0]} would have {m} edges, above the limit {limit}"
+        assert capsys.readouterr() == ("", err + "\n"), argv
+    # the bound is inclusive, and the README's sparse G(10^4, 0.001) is far inside it
+    built = []
+    monkeypatch.setattr(cli, "gen_complete_bipartite", lambda *a: built.append(a) or Graph(1))
+    monkeypatch.setattr(cli, "gen_random", lambda *a: built.append(a) or Graph(1))
+    assert main(["gen", "--family", "complete-bipartite", "--s", "1000", "--t", "2000"]) == 0
+    assert main(["gen", "--family", "random", "--n", "10000", "--p", "0.001"]) == 0
+    assert built == [(1000, 2000), (10000, 0.001, 0)]
+    capsys.readouterr()
 
 
 def test_construct_double_star_on_disconnected_input(capsys):

@@ -311,6 +311,28 @@ def test_check_split_condition():
         assert not check_nonexistence(h, r), h.edge_set()
 
 
+def test_check_rejects_records_of_the_wrong_type():
+    # the witness records are NamedTuples, so they equal plain tuples of
+    # their fields; the checks still insist on the record type
+    c4 = cycle(4)
+    bp = Bipartition(frozenset({0, 2}), frozenset({1, 3}))
+    assert check_nonexistence(c4, NonexistenceReason(BIPARTITE_EVEN_PARTS, bp))
+    with pytest.raises(BadWitness):
+        check_nonexistence(c4, NonexistenceReason(BIPARTITE_EVEN_PARTS, tuple(bp)))
+    g = Graph(6, [(3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
+    sp = SplitPartition(x=frozenset({0, 1, 2}), y=(3, 4, 5))
+    assert check_nonexistence(g, NonexistenceReason(SPLIT_CONDITION, sp))
+    for wrong in (tuple(sp), Bipartition(sp.x, frozenset(sp.y))):
+        with pytest.raises(BadWitness):
+            check_nonexistence(g, NonexistenceReason(SPLIT_CONDITION, wrong))
+    with pytest.raises(BadWitness):
+        check_nonexistence(c4, NonexistenceReason(BIPARTITE_EVEN_PARTS, SplitPartition(bp.left, (1, 3))))
+    # a record is a pair, but not the pair of ends that names a bridge
+    for wrong in (bp, sp):
+        with pytest.raises(BadWitness):
+            check_nonexistence(g, NonexistenceReason(BRIDGE_EVEN_SIDES, wrong))
+
+
 def test_check_excluded_family():
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])  # complement of 2K2
     assert check_nonexistence(g, NonexistenceReason(EXCLUDED_FAMILY, "two-k2"))

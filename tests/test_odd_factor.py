@@ -39,18 +39,18 @@ def test_factor_circulant():
 
 
 def test_second_tree_is_validated_once_for_all_pairs(monkeypatch):
-    # two even pairs, and one adjacency built, for the second tree only
+    # two even pairs, and one tree walk, of the second tree only
     g = circulant(8, (1, 2))
     t1, t2 = two_edge_disjoint_spanning_trees(g).trees
     assert sum(1 for d in degrees(t1, g.n) if d % 2 == 0) == 4
     built = []
-    real = graph_core._adjacency
+    real = graph_core._tree_walk
 
     def counting(edges, n):
         built.append(frozenset(edges))
         return real(edges, n)
 
-    monkeypatch.setattr(graph_core, "_adjacency", counting)
+    monkeypatch.setattr(graph_core, "_tree_walk", counting)
     f = connected_odd_factor(g)
     assert built == [t2]
     _check_factor(g, f)

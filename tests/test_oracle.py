@@ -2,7 +2,7 @@ import pytest
 
 from common import complete, cycle, es, path
 from oddspan import oracle
-from oddspan.errors import Disconnected, SizeCap
+from oddspan.errors import Disconnected, EmptyGraph, SizeCap
 from oddspan.families import gen_complete_bipartite, gen_random
 from oddspan.graph_core import Graph, degrees, find_root, is_connected
 from oddspan.oracle import (
@@ -264,3 +264,66 @@ def test_enumerate_order_matches_frozen_search():
     for n in range(1, 6):
         for g in all_connected_graphs(n):
             assert list(enumerate_spanning_trees(g)) == _frozen_enumerate(g), g.edge_set()
+
+
+# Frozen copies of the two verifiers as they were when the tree verifier
+# ran its own union-find and both counted degrees from the edge set.  The
+# verifiers must keep reporting the same failure at the same vertex.
+
+
+def _frozen_verify_tree(g, t):
+    if not t <= g.edge_set():
+        return (False, NOT_SUBGRAPH, None)
+    if len(t) != g.n - 1:
+        return (False, WRONG_EDGE_COUNT, None)
+    parent = list(range(g.n))
+    for u, v in sorted(t):
+        ru, rv = find_root(parent, u), find_root(parent, v)
+        if ru == rv:
+            return (False, HAS_CYCLE, None)
+        parent[ru] = rv
+    for v, d in enumerate(degrees(t, g.n)):
+        if d % 2 == 0:
+            return (False, EVEN_DEGREE_VERTEX, v)
+    return (True, None, None)
+
+
+def _frozen_verify_factor(g, f):
+    if not f <= g.edge_set():
+        return (False, NOT_SUBGRAPH, None)
+    deg = degrees(f, g.n)
+    for v, d in enumerate(deg):
+        if d == 0:
+            return (False, NOT_SPANNING, v)
+    if not is_connected(Graph(g.n, f)):
+        return (False, NOT_CONNECTED, None)
+    for v, d in enumerate(deg):
+        if d % 2 == 0:
+            return (False, EVEN_DEGREE_VERTEX, v)
+    return (True, None, None)
+
+
+def test_verifiers_match_frozen_verifiers():
+    seen = set()
+    for n in range(6):
+        full = sorted(complete(n).edge_set())
+        hosts = [complete(n)] + ([cycle(n)] if n >= 3 else [])
+        for mask in range(1 << len(full)):
+            s = frozenset(e for i, e in enumerate(full) if mask >> i & 1)
+            for g in hosts:
+                for new, old in ((verify_odd_spanning_tree, _frozen_verify_tree),
+                                 (verify_connected_odd_factor, _frozen_verify_factor)):
+                    if n == 0 and new is verify_connected_odd_factor:
+                        # connectivity of the empty graph is undefined
+                        for verify in (new, old):
+                            with pytest.raises(EmptyGraph):
+                                verify(g, s)
+                        continue
+                    rep = new(g, s)
+                    assert (rep.ok, rep.failure, rep.vertex) == old(g, s), (n, sorted(s))
+                    seen.add((new.__name__, rep.failure))
+    # every failure of each verifier fired somewhere in the universe
+    tree = {NOT_SUBGRAPH, WRONG_EDGE_COUNT, HAS_CYCLE, EVEN_DEGREE_VERTEX, None}
+    factor = {NOT_SUBGRAPH, NOT_SPANNING, NOT_CONNECTED, EVEN_DEGREE_VERTEX, None}
+    assert seen == {("verify_odd_spanning_tree", f) for f in tree} | {
+        ("verify_connected_odd_factor", f) for f in factor}

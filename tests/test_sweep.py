@@ -106,6 +106,11 @@ _LEAN = "{'oddspan.sweep', 'oddspan.tree_packing', 'oddspan.odd_factor', 'multip
         "import oddspan.cli as c; import oddspan.sweep as s; names = c.SWEEP_UNIVERSES; "
         "assert sorted(names) == sorted(k[6:] for k in vars(s) if k.startswith('sweep_'))",
         f"import sys, oddspan.cli; assert not {_LEAN} & set(sys.modules)",
+        # the check path's records are NamedTuples, and only sweep inspects a signature
+        "import sys, oddspan.cli as c; "
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules); "
+        "assert c.main(['check', sys.argv[1] + '/k13.txt']) == 0; "
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules)",
         "import sys, oddspan.cli as c; "
         "assert c.main(['check', sys.argv[1] + '/k13.txt']) == 0; "
         f"assert not {_LEAN} & set(sys.modules)",
@@ -118,7 +123,7 @@ _LEAN = "{'oddspan.sweep', 'oddspan.tree_packing', 'oddspan.odd_factor', 'multip
         "pathlib.Path(d, 'c4.cert').write_text(out.getvalue())\n"
         "assert c.main(['verify', d + '/c4.txt', '--certificate', d + '/c4.cert']) == 0",
     ],
-    ids=["sweep-first", "cli-first", "cli-lean", "check-lean", "factor-lazy"],
+    ids=["sweep-first", "cli-first", "cli-lean", "cli-no-dataclasses", "check-lean", "factor-lazy"],
 )
 def test_sweep_and_cli_import_in_either_order(script, tmp_path):
     for name, text in (("k13", "4 3\n0 1\n0 2\n0 3\n"), ("c4", "4 4\n0 1\n1 2\n2 3\n0 3\n"),
