@@ -421,13 +421,15 @@ def _exists(g: Graph, method: str, witness: EdgeSet, branch: str | None = None) 
 
 
 # Each method takes a nonempty graph and returns a Certificate.  One whose
-# theorem does not cover the graph raises OutOfScope; the parity screen
-# returns None when it finds no witness.
+# theorem does not cover the graph raises OutOfScope, as the parity screen
+# does when it finds no witness.
 
 
-def _parity(g: Graph) -> Certificate | None:
+def _parity(g: Graph) -> Certificate:
     why = find_nonexistence(g)
-    return None if why is None else _refuted(why.kind, why)
+    if why is None:
+        raise OutOfScope("no parity witness")
+    return _refuted(why.kind, why)
 
 
 def _split(g: Graph) -> Certificate:
@@ -503,8 +505,8 @@ PIPELINE = ("parity", "split", "trifree", "dense", "oracle")
 def run_method(g: Graph, *names: str) -> Certificate:
     """Answer with the first of the named methods that has g in its scope.
 
-    Every method but the last passes g on when it raises OutOfScope or
-    returns None; the last one's OutOfScope reaches the caller.  ``check``
+    Every method but the last passes g on when it raises OutOfScope; the
+    last one's OutOfScope reaches the caller.  ``check``
     and ``construct`` both answer through here.
     """
     if g.n == 0:
@@ -512,11 +514,9 @@ def run_method(g: Graph, *names: str) -> Certificate:
     try:
         for name in names[:-1]:
             try:
-                cert = METHODS[name](g)
+                return METHODS[name](g)
             except OutOfScope:
                 continue  # outside this method's scope; try the next one
-            if cert is not None:
-                return cert
         return METHODS[names[-1]](g)
     except Disconnected:
         return _plain(g, NOT_EXISTS, "disconnected")
@@ -570,14 +570,19 @@ def _emit(cert: Certificate) -> int:
     return _VERDICT_EXIT[cert.verdict]
 
 
-# The largest edge count gen builds.  A graph costs a few hundred bytes
-# per edge until it is printed, so the bound keeps a run under about a
-# gigabyte; it admits K_2000 and G(10^4, p) for p up to 0.04.
+# The most edges gen builds, and in the complement of an input.  A graph
+# costs a few hundred bytes per edge until it is printed, so the bound keeps
+# a run under about a gigabyte; it admits K_2000 and G(10^4, p) for p <= 0.04.
 _MAX_EDGES = 2_000_000
+
+# The most splitmix outputs gen draws, one per pair, whatever p is; it
+# admits G(10^4, p), 49,995,000 pairs.
+_MAX_DRAWS = 50_000_000
 
 # family -> (required flags, vertices beyond the flags' sum, edges, builder);
 # edges(*flags, p) is the edge count, or for the seeded families its
-# expectation, with the flags clamped at 0 and p to [0, 1]
+# expectation (at p = 1, a bound on the pairs it draws), with the flags
+# clamped at 0 and p to [0, 1]
 _FAMILIES = {
     "complete": (("n",), 0, lambda n, p: comb(n, 2), lambda a: gen_complete(a.n)),
     "complete-bipartite": (("s", "t"), 0, lambda s, t, p: s * t,
@@ -609,8 +614,11 @@ def _cmd_gen(args) -> int:
     # is left to the builder
     sizes = [max(getattr(args, k), 0) for k in required]
     n = extra + sum(sizes)
-    m = edges(*sizes, min(max(args.p, 0.0), 1.0)) if n <= _MAX_VERTICES else 0
-    for count, what, limit in ((n, "vertices", _MAX_VERTICES), (m, "edges", _MAX_EDGES)):
+    m = pairs = 0
+    if n <= _MAX_VERTICES:
+        m, pairs = edges(*sizes, min(max(args.p, 0.0), 1.0)), edges(*sizes, 1)
+    for count, what, limit in ((n, "vertices", _MAX_VERTICES), (m, "edges", _MAX_EDGES),
+                               (pairs, "possible edges", _MAX_DRAWS)):
         if count > limit:
             about = "about " if isinstance(count, float) else ""
             return _usage("gen", f"family {args.family} would have {about}{round(count)} {what}, "
@@ -627,19 +635,30 @@ def _cmd_check(args) -> int:
     return _emit(decide(_load_graph(args)))
 
 
+def _complement_bounded(g: Graph, what: str) -> Graph:
+    """g, unless what builds g's complement, or a distance table as large,
+    and that complement has more than _MAX_EDGES edges: a few bytes of
+    input would then cost gigabytes."""
+    m = comb(g.n, 2) - g.m
+    if what in ("complement", "double-star", "no-double-star") and m > _MAX_EDGES:
+        raise ValueError(f"the complement would have {m} edges, above the limit {_MAX_EDGES}")
+    return g
+
+
 def _cmd_construct(args) -> int:
-    return _emit(run_method(_load_graph(args), args.method))
+    return _emit(run_method(_complement_bounded(_load_graph(args), args.method), args.method))
 
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args)
-    why = recheck(g, parse_certificate(_read_text(args.certificate)))
+    cert = parse_certificate(_read_text(args.certificate))
+    why = recheck(_complement_bounded(g, cert.method), cert)
     print("OK" if why is None else f"FAIL {why}")
     return 0 if why is None else 1
 
 
 def _cmd_complement(args) -> int:
-    sys.stdout.write(emit_graph(complement(_load_graph(args))))
+    sys.stdout.write(emit_graph(complement(_complement_bounded(_load_graph(args), "complement"))))
     return 0
 
 

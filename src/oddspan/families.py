@@ -7,10 +7,9 @@ every platform; golden files depend on this.
 
 from __future__ import annotations
 
-import sys
 from functools import cache
 from itertools import chain, combinations, compress, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import trifree
 from .errors import BadWitness, Disconnected, EmptyGraph, OddOrder
@@ -20,9 +19,9 @@ from .graph_core import (
     bfs_distances,
     bipartition,
     complement,
+    complement_has_triangle,
     edge,
     is_connected,
-    is_triangle_free,
 )
 from .split import SplitPartition, split_no_tree_condition, validate_partition
 
@@ -59,7 +58,7 @@ def _block_constants() -> tuple[int, int, int]:
 
 def _lanes(state: int, k: int) -> tuple[int, int]:
     """The int with 1 in each of k <= _BLOCK lanes, and the k outputs
-    that follow state in those lanes."""
+    that follow state (0..2^64 - 1) in those lanes."""
     ones, low, steps = _block_constants()
     if k < _BLOCK:
         ones, steps = ones >> 128 * (_BLOCK - k), steps & ((1 << 128 * k) - 1)
@@ -81,43 +80,18 @@ def _keep_bits(state: int, k: int, bias: int) -> bytes:
     return (bias * ones - z).to_bytes(16 * k, "little")[8::16]
 
 
-class _SplitMix:
-    """splitmix64: golden-ratio increment plus two xor-multiply rounds,
-    computed a block of outputs at a time."""
+def _keeps(seed: int, k: int, threshold: int) -> Iterable[int]:
+    """splitmix64 (golden-ratio increment plus two xor-multiply rounds):
+    for each of the first k outputs after seed, 1 if it is below
+    threshold (0..2^64), else 0.
 
-    def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK64
-
-    def _blocks(self, k: int) -> Iterator[tuple[int, int]]:
-        """Move the state past k outputs; return, for each block of
-        them, the state before the block and its lane count."""
-        state = self.state
-        self.state = (state + k * _GAMMA) & _MASK64
-        return (((state + i * _GAMMA) & _MASK64, min(_BLOCK, k - i)) for i in range(0, k, _BLOCK))
-
-    def draws(self, k: int) -> list[int]:
-        """The next k outputs, in order."""
-        out: list[int] = []
-        for start, size in self._blocks(k):
-            _, z = _lanes(start, size)
-            # an output is the low word of its lane; in big-endian bytes
-            # the lanes run from last to first
-            words = memoryview(z.to_bytes(16 * size, sys.byteorder)).cast("Q")
-            out += words[::2] if sys.byteorder == "little" else words[::-2]
-        return out
-
-    def keeps(self, k: int, threshold: int) -> Iterable[int]:
-        """For each of the next k outputs, 1 if it is below threshold
-        (0..2^64), else 0.
-
-        The state moves past all k outputs at once; the bits are
-        computed a block at a time as they are read.
-        """
-        bias, blocks = (1 << 64) + threshold - 1, self._blocks(k)
-        return chain.from_iterable(_keep_bits(start, size, bias) for start, size in blocks)
-
-    def next(self) -> int:
-        return self.draws(1)[0]
+    The bits are computed a block at a time as they are read.
+    """
+    bias = (1 << 64) + threshold - 1
+    return chain.from_iterable(
+        _keep_bits((seed + i * _GAMMA) & _MASK64, min(_BLOCK, k - i), bias)
+        for i in range(0, k, _BLOCK)
+    )
 
 
 def gen_complete(n: int) -> Graph:
@@ -174,7 +148,7 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    keep = _SplitMix(seed).keeps(n * (n - 1) // 2, int(p * (1 << 64)))
+    keep = _keeps(seed, n * (n - 1) // 2, int(p * (1 << 64)))
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in compress(combinations(range(n), 2), keep):
         nbrs[u].add(v)
@@ -193,7 +167,7 @@ def gen_random_split(s: int, t: int, p: float, seed: int) -> tuple[Graph, SplitP
         raise ValueError(f"need s >= 0 and t >= 1, got ({s}, {t})")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    keep = _SplitMix(seed).keeps(s * t, int(p * (1 << 64)))
+    keep = _keeps(seed, s * t, int(p * (1 << 64)))
     ys = range(s, s + t)
     nbrs: list[set[int]] = [set() for _ in range(s)] + [set(ys) - {y} for y in ys]
     for x, y in compress(product(range(s), ys), keep):
@@ -259,10 +233,9 @@ def check_nonexistence(g: Graph, r: NonexistenceReason) -> bool:
     if r.kind == EXCLUDED_FAMILY:
         if w not in trifree.EXCLUDED_FAMILIES:
             raise BadWitness(f"unknown excluded family {w!r}")
-        h = complement(g)
-        if not is_triangle_free(h):
+        if complement_has_triangle(g):
             return False
-        return trifree.recognize_excluded(h) == w
+        return trifree.recognize_excluded(complement(g)) == w
     raise BadWitness(f"unknown reason kind {r.kind!r}")
 
 

@@ -1,4 +1,4 @@
-"""Small graph builders shared across test modules."""
+"""Small graph builders and a frozen splitmix step, shared across test modules."""
 
 from oddspan.graph_core import Graph, edge
 
@@ -25,3 +25,21 @@ def joined_cliques(s: int, links: int) -> Graph:
     edges += [(u + s, v + s) for u, v in edges]
     edges += [(i, s + i) for i in range(links)]
     return Graph(2 * s, edges)
+
+
+# A frozen copy of the splitmix step, one output per call, as it was
+# before outputs were drawn a block at a time.
+
+_MASK64 = (1 << 64) - 1
+
+
+class _FrozenSplitMix:
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+
+    def next(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) & _MASK64

@@ -851,7 +851,16 @@ def test_parse_graph_bounds_the_vertex_count():
         parse_graph(f"# big\n{cli._MAX_VERTICES + 1} 0\n")
 
 
-def test_exit_codes_for_bad_input(capsys, monkeypatch):
+def test_exit_codes_for_bad_input(capsys, monkeypatch, tmp_path):
+    # complement, construct --double-star and verify of a double-star
+    # certificate refuse an input whose complement has more than 2,000,000
+    # edges, before the complement or the distance table is built
+    monkeypatch.setattr(cli, "complement", lambda g: pytest.fail("complement built"))
+    monkeypatch.setattr(cli, "double_star_in_complement", lambda g: pytest.fail("table built"))
+    exists, none = tmp_path / "exists.cert", tmp_path / "none.cert"
+    exists.write_text("EXISTS double-star\nT 0 1\n")
+    none.write_text("NOT_EXISTS no-double-star\nR no-double-star\n")
+    too_many = "error: the complement would have {} edges, above the limit 2000000"
     cases = [
         (("check",), "3 1\n0 0\n", "error: line 2: self loop at 0"),
         (("check",), "2 2\n0 1\n1 0\n", "error: line 3: edge 0 1 repeated"),
@@ -865,6 +874,11 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch):
         (("construct", "--dense"), P6, "error: minimum degree 1 below required bound 4"),
         (("check", "/nonexistent/file.txt"), None,
          "error: [Errno 2] No such file or directory: '/nonexistent/file.txt'"),
+        (("complement",), "2001 0\n", too_many.format(2001000)),
+        (("complement",), "2001 1\n0 1\n", too_many.format(2000999)),
+        (("construct", "--double-star"), "3000 0\n", too_many.format(4498500)),
+        (("verify", "--certificate", str(exists)), "3000 0\n", too_many.format(4498500)),
+        (("verify", "--certificate", str(none)), "2002 0\n", too_many.format(2003001)),
     ]
     for argv, stdin, err in cases:
         old = sys.stdin
@@ -914,14 +928,37 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch):
         assert main(["gen", "--family", *argv]) == 64, argv
         err = f"oddspan gen: error: family {argv[0]} would have {m} edges, above the limit {limit}"
         assert capsys.readouterr() == ("", err + "\n"), argv
-    # the bound is inclusive, and the README's sparse G(10^4, 0.001) is far inside it
+    # a seeded family draws one output per pair whatever p is, so its pairs
+    # are bounded too: its edges at p = 1
+    limit = cli._MAX_DRAWS
+    for argv, pairs in [
+        (("random", "--n", "100000", "--p", "0"), 4999950000),
+        (("random", "--n", "10001", "--p", "0.001"), 50005000),
+        (("random-split", "--s", "79689", "--t", "625", "--p", "0"), 50000625),
+    ]:
+        assert main(["gen", "--family", *argv]) == 64, argv
+        err = (f"oddspan gen: error: family {argv[0]} would have {pairs} possible edges, "
+               f"above the limit {limit}")
+        assert capsys.readouterr() == ("", err + "\n"), argv
+    # the bounds are inclusive, and the README's sparse G(10^4, 0.001) is inside both
     built = []
     monkeypatch.setattr(cli, "gen_complete_bipartite", lambda *a: built.append(a) or Graph(1))
     monkeypatch.setattr(cli, "gen_random", lambda *a: built.append(a) or Graph(1))
+    monkeypatch.setattr(cli, "gen_random_split", lambda *a: built.append(a) or (Graph(1), None))
     assert main(["gen", "--family", "complete-bipartite", "--s", "1000", "--t", "2000"]) == 0
     assert main(["gen", "--family", "random", "--n", "10000", "--p", "0.001"]) == 0
-    assert built == [(1000, 2000), (10000, 0.001, 0)]
+    assert main(["gen", "--family", "random-split", "--s", "79688", "--t", "625", "--p", "0"]) == 0
+    assert built == [(1000, 2000), (10000, 0.001, 0), (79688, 625, 0.0, 0)]
     capsys.readouterr()
+    # and at the complement bound, the complement and the table are built
+    built.clear()
+    monkeypatch.setattr(cli, "complement", lambda g: built.append(g.n) or Graph(1))
+    monkeypatch.setattr(cli, "double_star_in_complement", lambda g: built.append(g.n))
+    star = "".join(f"0 {v}\n" for v in range(1, 1001))
+    assert run_cli(capsys, "complement", stdin=f"2001 1000\n{star}") == (0, "1 0\n")
+    assert run_cli(capsys, "construct", "--double-star", stdin="2000 0\n")[0] == 1
+    assert run_cli(capsys, "verify", "--certificate", str(none), stdin="2000 0\n") == (0, "OK\n")
+    assert built == [2001, 2000, 2000]
 
 
 def test_construct_double_star_on_disconnected_input(capsys):

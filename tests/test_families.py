@@ -1,6 +1,6 @@
 import pytest
 
-from common import complete, cycle, es, path
+from common import _MASK64, _FrozenSplitMix, complete, cycle, es, path
 from oddspan import families, trifree
 from oddspan.errors import BadWitness, Disconnected, EmptyGraph, OddOrder
 from oddspan.families import (
@@ -10,7 +10,8 @@ from oddspan.families import (
     SPLIT_CONDITION,
     _BLOCK,
     NonexistenceReason,
-    _SplitMix,
+    _keeps,
+    _lanes,
     check_nonexistence,
     find_nonexistence,
     gen_bridge_join,
@@ -26,30 +27,19 @@ from oddspan.oracle import find_odd_spanning_tree_bruteforce
 from oddspan.split import SplitPartition
 
 
+def _outputs(state, k):
+    """The k outputs that follow state, read from the lanes of ``_lanes``:
+    output j + 1 is the low word of lane j."""
+    _, z = _lanes(state & _MASK64, k)
+    return [(z >> 128 * j) & _MASK64 for j in range(k)]
+
+
 def test_splitmix_reference_values():
     # published splitmix64 stream for seed 0
-    rng = _SplitMix(0)
-    assert rng.next() == 0xE220A8397B1DCDAF
-    assert rng.next() == 0x6E789E6AA1B965F4
-    assert rng.next() == 0x06C45D188009454F
+    assert _outputs(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
-# A frozen copy of the splitmix step as it was before outputs were drawn
-# by rows, and of the two generators that drew one output per pair.
-
-_MASK64 = (1 << 64) - 1
-
-
-class _FrozenSplitMix:
-    def __init__(self, seed):
-        self.state = seed & _MASK64
-
-    def next(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
+# A frozen copy of the two generators that drew one output per pair.
 
 
 def _frozen_gen_random(n, p, seed):
@@ -72,16 +62,6 @@ def _frozen_gen_random_split(s, t, p, seed):
             if rng.next() < threshold:
                 es.append((x, y))
     return Graph(s + t, es)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, -3])
-def test_splitmix_draws_match_successive_frozen_steps(seed):
-    frozen = _FrozenSplitMix(seed)
-    rng = _SplitMix(seed)
-    for k in (0, 1, 5, 64):
-        assert rng.draws(k) == [frozen.next() for _ in range(k)]
-    assert rng.next() == frozen.next()
-    assert rng.state == frozen.state
 
 
 def test_gen_random_matches_the_frozen_pair_loop():
@@ -113,38 +93,26 @@ _SEEDS = (-(2**63) - 11, -1, 0, 2**64, 2**64 + 12345, 3 * 2**70 + 1)
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_block_kernel_matches_the_frozen_steps_across_blocks(seed):
     frozen = _FrozenSplitMix(seed)
-    want = [frozen.next() for _ in range(max(_KS) + 1)]
+    want = [frozen.next() for _ in range(max(_KS))]
     for k in _KS:
-        rng = _SplitMix(seed)
-        assert rng.draws(k) == want[:k], k
-        assert rng.next() == want[k], k
+        if k <= _BLOCK:
+            assert _outputs(seed, k) == want[:k], k
         for p in _PS:
             threshold = int(p * (1 << 64))
-            rng = _SplitMix(seed)
-            assert list(rng.keeps(k, threshold)) == [int(z < threshold) for z in want[:k]], (k, p)
-            assert rng.next() == want[k], (k, p)
+            assert list(_keeps(seed, k, threshold)) == [int(z < threshold) for z in want[:k]], (k, p)
 
 
 def test_keeps_at_the_extreme_thresholds():
-    rng = _SplitMix(5)
-    assert set(rng.keeps(2 * _BLOCK + 1, 0)) == {0}
-    assert set(rng.keeps(2 * _BLOCK + 1, 1 << 64)) == {1}
-    assert list(rng.keeps(0, 1 << 63)) == [] and rng.draws(0) == []
+    assert set(_keeps(5, 2 * _BLOCK + 1, 0)) == {0}
+    assert set(_keeps(5, 2 * _BLOCK + 1, 1 << 64)) == {1}
+    assert list(_keeps(5, 0, 1 << 63)) == []
     # an output equal to the threshold is not kept; one below it is
-    z = _SplitMix(9).draws(_BLOCK + 1)
+    frozen = _FrozenSplitMix(9)
+    z = [frozen.next() for _ in range(_BLOCK + 1)]
     for i in (0, _BLOCK - 1, _BLOCK):
         for threshold in (z[i], z[i] + 1):
-            got = list(_SplitMix(9).keeps(_BLOCK + 1, threshold))
+            got = list(_keeps(9, _BLOCK + 1, threshold))
             assert got == [int(x < threshold) for x in z], (i, threshold)
-
-
-@pytest.mark.parametrize("k, j", [(0, 3), (1, 1), (7, _BLOCK), (_BLOCK - 1, 2), (_BLOCK + 1, _BLOCK)])
-def test_draws_continue_where_the_last_call_stopped(k, j):
-    rng = _SplitMix(-7)
-    first, second = rng.draws(k), rng.draws(j)
-    whole = _SplitMix(-7)
-    assert first + second == whole.draws(k + j)
-    assert rng.state == whole.state
 
 
 def test_keep_bits_are_computed_a_block_at_a_time(monkeypatch):
@@ -157,7 +125,7 @@ def test_keep_bits_are_computed_a_block_at_a_time(monkeypatch):
         return real(state, k)
 
     monkeypatch.setattr(families, "_lanes", spy)
-    keep = _SplitMix(3).keeps(5 * _BLOCK + 2, 1 << 63)
+    keep = _keeps(3, 5 * _BLOCK + 2, 1 << 63)
     assert sizes == []
     assert len(list(keep)) == 5 * _BLOCK + 2
     assert sizes == [_BLOCK] * 5 + [2]
@@ -348,6 +316,13 @@ def test_check_excluded_family():
         check_nonexistence(g, NonexistenceReason(EXCLUDED_FAMILY, "mystery"))
     with pytest.raises(BadWitness):
         check_nonexistence(g, NonexistenceReason("unknown-kind", None))
+
+
+def test_check_excluded_family_builds_no_complement_with_a_triangle(monkeypatch):
+    # the edgeless graph's complement is K_3000, 4.5 million edges; the
+    # triangle in it is found from the adjacency alone
+    monkeypatch.setattr(families, "complement", lambda g: pytest.fail("complement built"))
+    assert not check_nonexistence(Graph(3000), NonexistenceReason(EXCLUDED_FAMILY, "two-k2"))
 
 
 def test_find_nonexistence_named():

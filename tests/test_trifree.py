@@ -8,15 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from common import complete, cycle, es, path
+from common import _FrozenSplitMix, complete, cycle, es, path
 from oddspan import graph_core, trifree
 from oddspan.errors import EmptyGraph, OddOrder, OutOfScope
-from oddspan.families import (
-    _SplitMix,
-    gen_c5k,
-    gen_complete_bipartite,
-    gen_complete_bipartite_minus_edge,
-)
+from oddspan.families import gen_c5k, gen_complete_bipartite, gen_complete_bipartite_minus_edge
 from oddspan.graph_core import Graph, complement, edge, is_connected, is_triangle_free
 from oddspan.oracle import verify_odd_spanning_tree
 from oddspan.sweep import all_graphs, build_theta, crafted_trifree_instances
@@ -81,7 +76,7 @@ def _theta_golden_graphs():
     with four seeded relabelings."""
     for n in (2, 4, 6):
         yield from (g for g in all_graphs(n) if is_triangle_free(g))
-    rng = _SplitMix(0)
+    rng = _FrozenSplitMix(0)
     for g in _theta_shapes():
         yield g
         for _ in range(4):
