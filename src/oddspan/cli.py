@@ -54,6 +54,7 @@ from .graph_core import (
     Graph,
     complement,
     complement_has_triangle,
+    degrees,
     diameter,
     edge,
     edge_connectivity,
@@ -368,9 +369,11 @@ def recheck(g: Graph, cert: Certificate) -> str | None:
         if method == "parity-repair-factor":
             rep = verify_connected_odd_factor(g, edges)
         else:
-            # a double star is a tree of the input's complement
+            # a double star is a tree of the input's complement with two non-leaf vertices
             rep = verify_odd_spanning_tree(complement(g) if method == "double-star" else g, edges)
         failure = rep.failure if rep.vertex is None else f"{rep.failure} {rep.vertex}"
+        if failure is None and method == "double-star":
+            failure = None if sum(d > 1 for d in degrees(edges, g.n)) == 2 else "not-a-double-star"
     elif (verdict, method) == (UNKNOWN, "oracle-capped"):
         failure = None if g.n > ODD_TREE_VERTEX_CAP else "within-size-cap"
     elif (verdict, method) == (UNKNOWN, "tree-packing"):

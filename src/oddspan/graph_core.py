@@ -24,7 +24,6 @@ __all__ = [
     "is_connected",
     "bipartition",
     "tree_bipartition",
-    "tree_adjacency",
     "forest_path",
     "edge_connectivity",
     "edge_connectivity_at_least",
@@ -225,17 +224,6 @@ def forest_path(adj, u: int, v: int) -> list[Edge]:
         x = p
     path.reverse()
     return path
-
-
-def tree_adjacency(t: EdgeSet, n: int) -> list[list[int]]:
-    """Adjacency lists of a spanning tree on 0..n-1, validated on the way.
-
-    Build it once to walk many paths of one tree with ``forest_path``.
-
-    Raises:
-        NotATree: t is not a spanning tree on 0..n-1.
-    """
-    return _checked_tree_walk(t, n)[0]
 
 
 def _max_flow_unit(g: Graph, s: int, t: int, bound: int) -> int:

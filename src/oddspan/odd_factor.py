@@ -1,19 +1,18 @@
 """Connected odd factors via parity repair over a two-tree packing.
 
-Pack two edge-disjoint spanning trees, then fix the parity of the first
-tree by folding in second-tree paths between paired even-degree
-vertices.  Symmetric differences flip degree parity exactly at the path
-endpoints, and the repaired factor still contains the first tree, so
-connectivity is inherited.  The factor is returned unchecked; the CLI
-verifies it through ``cli.recheck`` before it becomes an answer, and the
-sweep checks it through that same path.
+Pack two edge-disjoint spanning trees, then fold into the first tree the
+join of its even-degree vertices in the second.  The symmetric
+difference flips degree parity exactly at those vertices and still
+contains the first tree, so connectivity is inherited.  The factor is
+returned unchecked; the CLI verifies it through ``cli.recheck`` before
+it becomes an answer, and the sweep checks it through that same path.
 Without a packing the answer is the packing's partition certificate.
 """
 
 from __future__ import annotations
 
 from .errors import OddOrder
-from .graph_core import EdgeSet, Graph, degrees, forest_path, tree_adjacency
+from .graph_core import EdgeSet, Graph, _checked_tree_walk, degrees
 from .tree_packing import PartitionCertificate, two_edge_disjoint_spanning_trees
 
 
@@ -22,10 +21,14 @@ def connected_odd_factor(g: Graph) -> EdgeSet | PartitionCertificate:
     partition certificate that refutes a two-tree packing.
 
     Requires even order and a two-tree packing; 4-edge-connectivity is a
-    sufficient condition callers may check separately.  The first tree's
-    even-degree vertices pair up in ascending order: at even n their
-    count is even, as the degree sum 2(n - 1) leaves an even number of
-    odd-degree vertices.
+    sufficient condition callers may check separately.  At even n the
+    degree sum 2(n - 1) leaves the first tree an even number of
+    even-degree vertices, so their join in the second tree exists.  It
+    is unique: the edge from a vertex to its parent is the only edge of
+    that tree across the cut around the vertex's subtree, so it is in
+    the join iff the subtree holds an odd number of those vertices.
+    Deepest first, each marked vertex takes the edge to its parent and
+    flips the parent's mark, passing its subtree's parity up.
 
     Raises:
         OddOrder: no odd graph of odd order exists.
@@ -37,9 +40,12 @@ def connected_odd_factor(g: Graph) -> EdgeSet | PartitionCertificate:
     if outcome.trees is None:
         return outcome.cert
     t1, t2 = outcome.trees
-    evens = [v for v, d in enumerate(degrees(t1, g.n)) if d % 2 == 0]
-    adj2 = tree_adjacency(t2, g.n)  # validated once for every pair's path
-    factor = t1
-    for x, y in zip(evens[0::2], evens[1::2]):
-        factor = factor ^ frozenset(forest_path(adj2, x, y))
-    return factor
+    marked = [d % 2 == 0 for d in degrees(t1, g.n)]
+    adj, depth = _checked_tree_walk(t2, g.n)
+    join = []
+    for v in sorted(range(g.n), key=depth.__getitem__, reverse=True):
+        if marked[v]:
+            p = next(w for w in adj[v] if depth[w] < depth[v])
+            join.append((p, v) if p < v else (v, p))
+            marked[p] = not marked[p]
+    return t1 ^ frozenset(join)

@@ -346,6 +346,14 @@ def test_construct_goldens(capsys):
     assert code == 0 and out == golden("construct", "factor-k6")
 
 
+def test_construct_factor_random_40_golden(capsys):
+    # the first tree of gen_random(40, 0.5, 3) has four even-degree
+    # vertices, and their join adds three second-tree edges
+    _, host = run_cli(capsys, "gen", "--family", "random", "--n", "40", "--p", "0.5", "--seed", "3")
+    code, out = run_cli(capsys, "construct", "--factor", stdin=host)
+    assert code == 0 and out == golden("construct", "factor-random-40")
+
+
 def test_construct_factor_random_16_golden(capsys):
     # gen_random(16, 0.8, 1) is 4-edge-connected; both forests of the
     # packing span after 36 of its 93 edges, so the packing stops early
@@ -632,6 +640,9 @@ _MUTATIONS = [
      "FAIL witness-rejected\n"),
     # the oracle answers a disconnected graph as disconnected, never by its search
     ("4 2\n0 1\n2 3\n", ("check",), _swap_method("oracle-exhaustive"), 1, "FAIL disconnected\n"),
+    # an odd tree of the complement, but a star: the second centre's leaves moved onto 0
+    ("6 0\n", ("construct", "--double-star"), _replace_text("T 1 4\nT 1 5\n", "T 0 4\nT 0 5\n"),
+     1, "FAIL not-a-double-star\n"),
 ]
 
 
@@ -860,6 +871,9 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch, tmp_path):
     exists, none = tmp_path / "exists.cert", tmp_path / "none.cert"
     exists.write_text("EXISTS double-star\nT 0 1\n")
     none.write_text("NOT_EXISTS no-double-star\nR no-double-star\n")
+    maybe, split = tmp_path / "maybe.cert", tmp_path / "split.cert"
+    maybe.write_text("MAYBE x\n")
+    split.write_text("NOT_EXISTS split-criterion\nP x:0\nP y:1,2,3\n")
     too_many = "error: the complement would have {} edges, above the limit 2000000"
     cases = [
         (("check",), "3 1\n0 0\n", "error: line 2: self loop at 0"),
@@ -879,6 +893,11 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch, tmp_path):
         (("construct", "--double-star"), "3000 0\n", too_many.format(4498500)),
         (("verify", "--certificate", str(exists)), "3000 0\n", too_many.format(4498500)),
         (("verify", "--certificate", str(none)), "2002 0\n", too_many.format(2003001)),
+        (("verify", "--certificate", str(maybe)), K4,
+         "error: line 1: expected 'VERDICT method' header"),
+        # a star: the split check reads y = {1, 2, 3}, which holds no edge
+        (("verify", "--certificate", str(split)), "4 3\n0 1\n0 2\n0 3\n",
+         "error: y side is not a clique at vertex 1"),
     ]
     for argv, stdin, err in cases:
         old = sys.stdin
@@ -895,6 +914,9 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch, tmp_path):
         (("random", "--n", "-1"), "vertex count must be nonnegative, got -1"),
         (("random", "--n", "4", "--p", "2"), "p must be in [0, 1], got 2.0"),
         (("complete", "--n", "0"), "complete graph needs n >= 1"),
+        (("c5k", "--k", "0"), "blowup size must be >= 1"),
+        (("random-split", "--s", "-1", "--t", "2"), "need s >= 0 and t >= 1, got (-1, 2)"),
+        (("random-split", "--s", "1", "--t", "2", "--p", "2"), "p must be in [0, 1], got 2.0"),
     ]:
         assert main(["gen", "--family", *argv]) == 64, argv
         assert capsys.readouterr() == ("", f"oddspan gen: error: {err}\n"), argv

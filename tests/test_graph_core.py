@@ -19,7 +19,6 @@ from oddspan.graph_core import (
     is_connected,
     is_spanning_tree,
     is_triangle_free,
-    tree_adjacency,
     tree_bipartition,
 )
 from oddspan.oracle import enumerate_spanning_trees
@@ -63,6 +62,10 @@ def test_edge_set_is_built_once_and_leaves_equality_alone():
 def test_graph_rejects_out_of_range():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+        Graph(-1)
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        Graph(3, [(0, 1), (1, 1)])
 
 
 def test_min_degree_empty_graph():
@@ -176,7 +179,7 @@ def test_nonbipartite_graph_has_two_tree_bipartitions():
 
 
 def test_tree_path():
-    adj = tree_adjacency(es((0, 1), (1, 2), (2, 3), (2, 4)), 5)
+    adj = _adjacency_shapes(5, es((0, 1), (1, 2), (2, 3), (2, 4)))[1]
     assert forest_path(adj, 0, 3) == [(0, 1), (1, 2), (2, 3)]
     assert forest_path(adj, 3, 4) == [(2, 3), (2, 4)]
     assert forest_path(adj, 1, 1) == []
@@ -189,14 +192,14 @@ def test_tree_path_and_adjacency_reject_non_trees():
         (es((0, 1), (1, 3)), 3),  # an endpoint out of range
         (es((0, 1), (0, 2), (1, 2), (3, 4)), 5),  # n - 1 edges, two parts
     ):
-        with pytest.raises(NotATree):
-            tree_adjacency(t, n)
+        with pytest.raises(NotATree):  # tree_bipartition shares the checked tree walk
+            tree_bipartition(t, n)
 
 
 def test_tree_path_endpoint_degrees():
     # endpoints odd (degree 1), interior degree 2, for a spread of pairs
     t = es((0, 1), (1, 2), (1, 3), (3, 4), (4, 5))
-    adj = tree_adjacency(t, 6)  # one validated adjacency walks every path
+    adj = _adjacency_shapes(6, t)[1]  # one adjacency walks every path
     for u in range(6):
         for v in range(6):
             p = frozenset(forest_path(adj, u, v))
@@ -244,7 +247,7 @@ def test_star_import_binds_every_public_name():
     exec("from oddspan.graph_core import *", names)
     assert set(graph_core.__all__) <= set(names)
     assert "forest_path" in names and "symmetric_difference" not in names
-    assert "tree_path" not in names
+    assert "tree_path" not in names and "tree_adjacency" not in names
 
 
 def test_edge_connectivity_named():
@@ -343,6 +346,8 @@ def test_edge_connectivity_at_least_named():
     for n in (0, 1):
         with pytest.raises(EmptyGraph):
             edge_connectivity_at_least(Graph(n), 0)
+        with pytest.raises(EmptyGraph):
+            edge_connectivity(Graph(n))
 
 
 def test_find_root_halves_paths():

@@ -9,6 +9,7 @@ import pytest
 
 from common import complete, cycle, path
 from oddspan import tree_packing
+from oddspan.errors import Disconnected, EmptyGraph
 from oddspan.families import gen_complete_bipartite, gen_random
 from oddspan.graph_core import (
     Graph,
@@ -130,6 +131,17 @@ def test_exhaustive_pair_search_k4():
     t1, t2 = pair
     assert is_spanning_tree(t1, 4) and is_spanning_tree(t2, 4) and not (t1 & t2)
     assert exhaustive_pair_search(cycle(4)) is None
+
+
+def test_packing_and_pair_search_refuse_small_or_disconnected_input():
+    for n in (0, 1):
+        with pytest.raises(EmptyGraph):
+            two_edge_disjoint_spanning_trees(Graph(n))
+    two_k4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4) for v in range(u + 1, 4)])
+    with pytest.raises(Disconnected):
+        two_edge_disjoint_spanning_trees(two_k4)
+    with pytest.raises(Disconnected):
+        exhaustive_pair_search(two_k4)
 
 
 def _components(forest, n):
