@@ -83,7 +83,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edge_set())
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -228,11 +228,9 @@ def forest_path(adj, u: int, v: int) -> list[Edge]:
 
 def _max_flow_unit(g: Graph, s: int, t: int, bound: int) -> int:
     """min(max s-t flow, bound), every edge at capacity 1 in both directions;
-    the search stops after ``bound`` augmenting paths."""
-    cap: dict[Edge, int] = {}
-    for u in range(g.n):
-        for v in g.adj[u]:
-            cap[(u, v)] = 1
+    the search stops after ``bound`` augmenting paths.  An arc has residual
+    capacity iff it is not in ``used``, the arcs that carry flow."""
+    used: set[Edge] = set()
     flow = 0
     while flow < bound:
         parent = {s: s}
@@ -240,7 +238,7 @@ def _max_flow_unit(g: Graph, s: int, t: int, bound: int) -> int:
         while queue and t not in parent:
             u = queue.popleft()
             for v in g.adj[u]:
-                if v not in parent and cap[(u, v)] > 0:
+                if v not in parent and (u, v) not in used:
                     parent[v] = u
                     queue.append(v)
         if t not in parent:
@@ -248,8 +246,10 @@ def _max_flow_unit(g: Graph, s: int, t: int, bound: int) -> int:
         v = t
         while v != s:
             u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
+            if (v, u) in used:
+                used.remove((v, u))
+            else:
+                used.add((u, v))
             v = u
         flow += 1
     return flow

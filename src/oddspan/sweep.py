@@ -8,9 +8,9 @@ The dense, split, trifree and factor universes each check one
 ``cli.METHODS`` entry through the path that ``check``, ``construct`` and
 ``verify`` use.  ``cli.run_method`` answers, and its EXISTS witness is
 verified where it is built.  Every other answer must pass
-``cli.recheck``, an UNKNOWN answer is a disagreement, and a NOT_EXISTS
-answer must agree with the tree oracle within its cap.  Verdicts are
-tallied as ``VERDICT method``.  The packing and bipartition universes
+``cli.recheck``, an UNKNOWN answer is a disagreement, and ``cli``'s
+oracle stage must find no tree where the answer is NOT_EXISTS.  Verdicts
+are tallied as ``VERDICT method``.  The packing and bipartition universes
 check library lemmas, with checkers of their own.
 
 Workers > 1 distributes cases over a process pool; the merge is by case
@@ -46,7 +46,7 @@ from .graph_core import (
     is_triangle_free,
     tree_bipartition,
 )
-from .oracle import ODD_TREE_VERTEX_CAP, enumerate_spanning_trees, find_odd_spanning_tree_bruteforce
+from .oracle import enumerate_spanning_trees
 from .split import find_split_partition, split_no_tree_condition
 from .tree_packing import exhaustive_pair_search, two_edge_disjoint_spanning_trees, verify_packing
 
@@ -253,12 +253,6 @@ class _Row(NamedTuple):
     extra: Callable[[Graph, cli.Certificate], tuple[str | None, str | None]] | None = None
 
 
-def _oracle_finds_tree(g: Graph) -> bool:
-    return g.n <= ODD_TREE_VERTEX_CAP and is_connected(g) and (
-        find_odd_spanning_tree_bruteforce(g) is not None
-    )
-
-
 def _method_case(row: _Row, g: Graph) -> Outcome:
     """Answer the case through ``cli.run_method`` and check the answer."""
     try:
@@ -271,7 +265,7 @@ def _method_case(row: _Row, g: Graph) -> Outcome:
     if failure is None:
         if cert.verdict == cli.UNKNOWN:
             failure = "no answer"
-        elif cert.verdict == cli.NOT_EXISTS and _oracle_finds_tree(g):
+        elif cert.verdict == cli.NOT_EXISTS and cli.run_method(g, "oracle").verdict == cli.EXISTS:
             failure = "the oracle finds a tree"
         elif cert.verdict == cli.EXISTS and row.extra is not None:
             failure, shape = row.extra(g, cert)

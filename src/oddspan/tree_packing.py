@@ -65,17 +65,18 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
         {v: set() for v in range(n)},
         {v: set() for v in range(n)},
     )
-    in_forest: dict[Edge, int] = {}
     failed: list[tuple[Edge, set[Edge]]] = []
-    # Component labels of both forests, kept up to date in place, and
-    # the members of each label.  A failed offer changes neither forest;
-    # once both forests span, every later offer would fail, so the scan
-    # stops there.
+    # The edge count of both forests, their component labels, kept up to
+    # date in place, and the members of each label.  A failed offer
+    # changes neither forest, and a success adds one edge, since its swaps
+    # only move edges; once both forests span, every later offer would
+    # fail, so the scan stops there.
+    placed = 0
     comp = [list(range(n)), list(range(n))]
     members = [[[v] for v in range(n)], [[v] for v in range(n)]]
 
     for e0 in sorted(g.edge_set()):
-        if len(in_forest) == 2 * (n - 1):
+        if placed == 2 * (n - 1):
             break
         label: dict[Edge, tuple[Edge, int]] = {e0: _ROOT}
         queue: deque[tuple[Edge, int]] = deque([(e0, 0), (e0, 1)])
@@ -110,7 +111,7 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
         mj[gone] = []
         forests[j][h[0]].add(h[1])
         forests[j][h[1]].add(h[0])
-        in_forest[h] = j
+        placed += 1
         parent = label[h]
         while parent != _ROOT:
             f, i = parent
@@ -118,13 +119,11 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
             forests[i][h[1]].discard(h[0])
             forests[i][f[0]].add(f[1])
             forests[i][f[1]].add(f[0])
-            in_forest[f] = i
             h = f
             parent = label[h]
 
-    t0 = frozenset(e for e, i in in_forest.items() if i == 0)
-    t1 = frozenset(e for e, i in in_forest.items() if i == 1)
-    if len(t0) == n - 1 and len(t1) == n - 1:
+    if placed == 2 * (n - 1):
+        t0, t1 = (frozenset((u, v) for u in f for v in f[u] if u < v) for f in forests)
         return PackingOutcome(trees=(t0, t1))
     return PackingOutcome(cert=_extract_certificate(g, failed))
 

@@ -1019,6 +1019,12 @@ def test_exit_codes_for_usage(capsys):
     assert main(["construct", "--factor", "--strict"]) == 64
     assert main(["construct", "--factor", "--dense"]) == 64
     assert main([]) == 64
+    capsys.readouterr()
+    # argparse's own report: the usage, then the error line
+    assert main(["check", "--bogus"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: oddspan [-h]")
+    assert err.endswith("\noddspan: error: unrecognized arguments: --bogus\n")
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["construct", "--help"]) == 0

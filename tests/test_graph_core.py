@@ -1,3 +1,7 @@
+import sys
+from collections import deque
+from itertools import permutations
+
 import pytest
 
 from common import complete, cycle, es, joined_cliques, path
@@ -49,6 +53,8 @@ def test_edge_set_is_built_once_and_leaves_equality_alone():
                 rebuilt = frozenset((u, v) for u in range(h.n) for v in h.adj[u] if u < v)
                 twin = Graph(h.n, ((v, u) for u, v in rebuilt))
                 assert h._edges is None and twin._edges is None
+                # the edge count reads degrees, not the edge set
+                assert h.m == len(rebuilt) and h._edges is None
                 edges = h.edge_set()
                 assert edges == rebuilt
                 assert h.edge_set() is edges
@@ -348,6 +354,91 @@ def test_edge_connectivity_at_least_named():
             edge_connectivity_at_least(Graph(n), 0)
         with pytest.raises(EmptyGraph):
             edge_connectivity(Graph(n))
+
+
+def _capacity_table_flow(g, s, t, bound):
+    """A frozen copy of the unit flow as it was with a capacity dict of
+    2m entries, built afresh for every call."""
+    cap = {}
+    for u in range(g.n):
+        for v in g.adj[u]:
+            cap[(u, v)] = 1
+    flow = 0
+    while flow < bound:
+        parent = {s: s}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v in g.adj[u]:
+                if v not in parent and cap[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            return flow
+        v = t
+        while v != s:
+            u = parent[v]
+            cap[(u, v)] -= 1
+            cap[(v, u)] += 1
+            v = u
+        flow += 1
+    return flow
+
+
+def test_unit_flow_matches_the_capacity_table_on_small_graphs():
+    # every ordered pair of ends, not just sinks of vertex 0, and every bound
+    for n in range(2, 6):
+        for g in all_connected_graphs(n):
+            for s, t in permutations(range(n), 2):
+                for bound in range(1, n + 1):
+                    got = graph_core._max_flow_unit(g, s, t, bound)
+                    assert got == _capacity_table_flow(g, s, t, bound), (n, g.edge_set(), s, t)
+
+
+def test_unit_flow_matches_the_capacity_table_seeded():
+    draws = 0
+    for i in range(60):
+        n = 8 + (i * 13) % 33
+        g = gen_random(n, 0.1 + 0.1 * (i % 5), i)
+        if not is_connected(g):
+            continue
+        draws += 1
+        for t in range(1, n):
+            for bound in range(1, n + 1):
+                got = graph_core._max_flow_unit(g, 0, t, bound)
+                assert got == _capacity_table_flow(g, 0, t, bound), (n, i, t, bound)
+    assert draws >= 40
+
+
+def _line_events(code, run):
+    """Line events that run() executes in frames of code."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_unit_flow_keeps_no_capacity_table(monkeypatch):
+    # on a path each flow is one augmenting path, which the 2m-entry table
+    # used to outweigh
+    g = path(600)
+    ours = _line_events(graph_core._max_flow_unit.__code__, lambda: edge_connectivity(g))
+    monkeypatch.setattr(graph_core, "_max_flow_unit", _capacity_table_flow)
+    table = _line_events(_capacity_table_flow.__code__, lambda: edge_connectivity(g))
+    assert ours <= 0.6 * table, (ours, table)
 
 
 def test_find_root_halves_paths():

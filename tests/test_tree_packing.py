@@ -286,16 +286,21 @@ def test_peel_leaves_graphs_with_a_failed_offer_to_the_loop():
 
 
 def test_packing_matches_offer_every_edge_seeded():
-    outcomes = set()
-    for i in range(60):
-        n = 8 + i % 23
-        g = gen_random(n, 0.3 + 0.1 * (i % 7), i)
+    # dense draws up to n = 30, then draws up to n = 40 of average degree
+    # 3 to 6.5, near the 2(n - 1) edges that two trees need
+    draws = [gen_random(8 + i % 23, 0.3 + 0.1 * (i % 7), i) for i in range(60)]
+    for i in range(48):
+        n = 8 + (i * 7) % 33
+        draws.append(gen_random(n, (3 + i % 8 / 2) / (n - 1), i))
+    kinds = set()
+    for g in draws:
         if not is_connected(g):
             continue
         out = two_edge_disjoint_spanning_trees(g)
-        assert out == _offer_every_edge(g)[0], (n, i)
-        outcomes.add(out.trees is None)
-    assert outcomes == {True, False}
+        assert out == _offer_every_edge(g)[0], (g.n, sorted(g.edge_set()))
+        peeled = tree_packing._peels_to_empty(g)
+        kinds.add("trees" if out.trees else "peeled" if peeled else "certificate")
+    assert kinds == {"trees", "peeled", "certificate"}
 
 
 def test_packing_matches_offer_every_edge_on_moebius_ladders():
