@@ -287,8 +287,13 @@ def _part(name: str, vs) -> tuple[str, tuple[int, ...]]:
 
 def _plain(g: Graph, verdict: str, method: str) -> Certificate:
     """A certificate whose only line past its header is its R line."""
-    reason = {"odd-order": f"odd-order {g.n}", "oracle-capped": f"size-cap {ODD_TREE_VERTEX_CAP}"}
-    return Certificate(verdict, method, reason=reason.get(method, method))
+    if method == "odd-order":
+        reason = f"odd-order {g.n}"
+    elif method == "oracle-capped":
+        reason = f"size-cap {ODD_TREE_VERTEX_CAP}"
+    else:
+        reason = method
+    return Certificate(verdict, method, reason=reason)
 
 
 def _refuted(method: str, why: NonexistenceReason) -> Certificate:

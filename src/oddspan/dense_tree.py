@@ -28,8 +28,9 @@ def odd_spanning_tree_dense(g: Graph) -> EdgeSet:
     if n % 2:
         raise OddOrder(f"order {n} is odd")
     bound = n // 2 + 1
-    if g.min_degree() < bound:
-        raise OutOfScope(f"minimum degree {g.min_degree()} below required bound {bound}")
+    delta = g.min_degree()
+    if delta < bound:
+        raise OutOfScope(f"minimum degree {delta} below required bound {bound}")
     odd = [v for v in range(n) if g.degree(v) % 2]
     if odd:
         v = odd[0]

@@ -172,8 +172,11 @@ def is_connected(g: Graph) -> bool:
 
 def _depth_classes(dist: list[int]) -> Bipartition:
     """Even and odd BFS depths from vertex 0, so vertex 0 is on the left."""
-    left = frozenset([v for v, d in enumerate(dist) if d % 2 == 0])
-    return Bipartition(left, frozenset(range(len(dist))) - left)
+    left: list[int] = []
+    right: list[int] = []
+    for v, d in enumerate(dist):
+        (right if d & 1 else left).append(v)
+    return Bipartition(frozenset(left), frozenset(right))
 
 
 def bipartition(g: Graph) -> Bipartition | None:

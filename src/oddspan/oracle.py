@@ -73,13 +73,21 @@ def verify_connected_odd_factor(g: Graph, f: EdgeSet) -> VerifyReport:
 
 def _reconnectable(parent: list[int], ncomp: int, edges: list[tuple[int, int]], start: int) -> bool:
     # Can the components of `parent` still be merged using edges[start:]?
+    # The roots are found inline, halving paths as ``find_root`` does.
+    if len(edges) - start < ncomp - 1:
+        return False  # each merge takes an edge
     scratch = parent.copy()
     left = ncomp
     for k in range(start, len(edges)):
         u, v = edges[k]
-        ru, rv = find_root(scratch, u), find_root(scratch, v)
-        if ru != rv:
-            scratch[ru] = rv
+        while scratch[u] != u:
+            scratch[u] = scratch[scratch[u]]
+            u = scratch[u]
+        while scratch[v] != v:
+            scratch[v] = scratch[scratch[v]]
+            v = scratch[v]
+        if u != v:
+            scratch[u] = v
             left -= 1
             if left == 1:
                 return True
@@ -108,33 +116,42 @@ def enumerate_spanning_trees(g: Graph) -> Iterator[EdgeSet]:
 def _spanning_trees(edges: list[tuple[int, int]], n: int) -> Iterator[EdgeSet]:
     """The search of ``enumerate_spanning_trees`` on one explicit stack.
 
-    A frame ``(i, parent, ncomp, back)`` with back False is a search node
-    at edge i; with back True it is the return from the branch that
-    included edge i, which then tries the branch that excludes it.  The
-    include branch is walked in place, down to a tree, so the nodes are
-    visited in the order of the recursive include-first search.
+    One union-find array serves the whole search.  It links roots and
+    never shortens a path, so unlinking a root undoes its link.  A frame
+    ``(i, root, ncomp)`` is the return from the branch that included
+    edge i by linking root: it unlinks root and tries the branch that
+    excludes edge i.  The include branch is walked in place, down to a
+    tree, so the nodes are visited in the order of the recursive
+    include-first search.
     """
     chosen: list[tuple[int, int]] = []
-    stack = [(0, list(range(n)), n, False)]
-    while stack:
-        i, parent, ncomp, back = stack.pop()
-        if back:
-            chosen.pop()
-            if not _reconnectable(parent, ncomp, edges, i + 1):
-                continue
-            i += 1
+    parent = list(range(n))
+    stack: list[tuple[int, int, int]] = []
+    i, ncomp = 0, n
+    while True:
         while ncomp > 1:
-            u, v = edges[i]
-            ru, rv = find_root(parent, u), find_root(parent, v)
+            u, v = e = edges[i]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
             # an internal edge never helps, and excluding it cannot hurt feasibility
-            if ru != rv:
-                stack.append((i, parent, ncomp, True))
-                parent = parent.copy()
-                parent[ru] = rv
+            if u != v:
+                stack.append((i, u, ncomp))
+                parent[u] = v
                 ncomp -= 1
-                chosen.append(edges[i])
+                chosen.append(e)
             i += 1
         yield frozenset(chosen)
+        while stack:
+            i, root, ncomp = stack.pop()
+            parent[root] = root
+            chosen.pop()
+            if _reconnectable(parent, ncomp, edges, i + 1):
+                break
+        else:
+            return
+        i += 1
 
 
 def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
@@ -160,7 +177,7 @@ def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
     n = g.n
     edges = sorted(g.edge_set())
     deg = [0] * n
-    undecided = degrees(edges, n)
+    undecided = [len(a) for a in g.adj]
     chosen: list[tuple[int, int]] = []
 
     def rec(i: int, parent: list[int], ncomp: int) -> EdgeSet | None:
@@ -171,7 +188,15 @@ def find_odd_spanning_tree_bruteforce(g: Graph) -> EdgeSet | None:
         u, v = e
         undecided[u] -= 1
         undecided[v] -= 1
-        ru, rv = find_root(parent, u), find_root(parent, v)
+        # the two roots, found as in ``_reconnectable``
+        ru = u
+        while parent[ru] != ru:
+            parent[ru] = parent[parent[ru]]
+            ru = parent[ru]
+        rv = v
+        while parent[rv] != rv:
+            parent[rv] = parent[parent[rv]]
+            rv = parent[rv]
         if ru != rv:
             deg[u] += 1
             deg[v] += 1

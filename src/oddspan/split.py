@@ -14,6 +14,7 @@ connected graph of diameter at least four has one, as the paper shows.
 
 from __future__ import annotations
 
+from operator import ge
 from typing import NamedTuple
 
 from .errors import BadWitness, Disconnected, OddOrder
@@ -42,10 +43,11 @@ def validate_partition(g: Graph, sp: SplitPartition) -> None:
     if xs & ys or xs | ys != set(range(g.n)):
         raise BadWitness("x and y must partition the vertex set")
     for u in xs:
-        if g.adj[u] & xs:
+        if not g.adj[u].isdisjoint(xs):
             raise BadWitness(f"x side is not independent at vertex {u}")
     for v in ys:
-        if not ys - {v} <= g.adj[v]:
+        # v is no neighbour of itself, so only v is left when ys is a clique
+        if len(ys - g.adj[v]) != 1:
             raise BadWitness(f"y side is not a clique at vertex {v}")
 
 
@@ -63,11 +65,12 @@ def find_split_partition(g: Graph) -> SplitPartition | None:
     deg = list(map(len, g.adj))
     # a stable sort, so reverse=True keeps equal degrees in vertex order
     order = sorted(range(g.n), key=deg.__getitem__, reverse=True)
-    d = [deg[v] for v in order]
-    m = max(i for i in range(1, g.n + 1) if d[i - 1] >= i - 1)
+    d = list(map(deg.__getitem__, order))
+    # d[i] - i falls strictly, so the indices with d[i] >= i are the first m
+    m = sum(map(ge, d, range(g.n)))
     if sum(d[:m]) != m * (m - 1) + sum(d[m:]):
         return None
-    return SplitPartition(x=frozenset(order[m:]), y=tuple(sorted(order[:m])))
+    return SplitPartition(frozenset(order[m:]), tuple(sorted(order[:m])))
 
 
 def _x_degrees_odd(g: Graph, sp: SplitPartition) -> bool:

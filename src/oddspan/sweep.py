@@ -23,6 +23,7 @@ import multiprocessing
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress, product
 from typing import NamedTuple
 
 from . import cli
@@ -35,7 +36,6 @@ from .families import (
     gen_random_split,
 )
 from .graph_core import (
-    Bipartition,
     Graph,
     bipartition,
     complement,
@@ -46,8 +46,8 @@ from .graph_core import (
     is_triangle_free,
     tree_bipartition,
 )
-from .oracle import enumerate_spanning_trees
-from .split import find_split_partition, split_no_tree_condition
+from .oracle import _spanning_trees
+from .split import SplitPartition, find_split_partition, split_no_tree_condition
 from .tree_packing import exhaustive_pair_search, two_edge_disjoint_spanning_trees, verify_packing
 
 # what a checker found on one case: (disagreement, verdict, coverage shape)
@@ -79,11 +79,43 @@ class SweepReport:
         return out
 
 
-def _neighbour_rows(n: int) -> Iterator[list[int]]:
-    """Neighbour bitmask rows of every labeled graph on 0..n-1, by edge
-    bitmask: bit i of the mask is the i-th pair in lexicographic order,
-    so vertex 0's pairs change fastest.  Each edge sets its two bits."""
-    ends = [(u, 1 << v, v, 1 << u) for u in range(n) for v in range(u + 1, n)]
+def _row_sets(n: int) -> list[frozenset[int]]:
+    """The vertex set of every bitmask row on 0..n-1, indexed by the row."""
+    return [frozenset(v for v in range(n) if row >> v & 1) for row in range(1 << n)]
+
+
+def _components(rows: list[int], todo: int) -> tuple[int, ...]:
+    """The components, as vertex bitmasks, that the neighbour bitmask
+    rows give the vertices of ``todo``."""
+    comps = []
+    while todo:
+        seen = front = todo & -todo
+        while front:
+            low = front & -front
+            front ^= low
+            new = rows[low.bit_length() - 1] & ~seen
+            seen |= new
+            front |= new
+        comps.append(seen)
+        todo &= ~seen
+    return tuple(comps)
+
+
+def _walk(n: int, connected: bool) -> Iterator[Graph]:
+    """Every labeled graph on 0..n-1 by edge bitmask, or only the
+    connected ones.  Bit i of the mask is the i-th pair in lexicographic
+    order, so vertex 0's n - 1 pairs are the low bits and change fastest:
+    each graph on 1..n-1 is built once, and then every neighbourhood of
+    vertex 0 is joined to it in turn, or only those that meet every
+    component of it."""
+    if n == 0:
+        yield Graph._from_neighbours([])
+        return
+    sets = _row_sets(n)
+    zero_rows = sets[::2]  # vertex 0's row for each low mask, one bit up
+    ends = [(u, 1 << v, v, 1 << u) for u in range(1, n) for v in range(u + 1, n)]
+    # per component tuple, whether each low mask meets every component
+    meets: dict[tuple[int, ...], list[bool]] = {}
     for mask in range(1 << len(ends)):
         rows = [0] * n
         while mask:
@@ -92,40 +124,31 @@ def _neighbour_rows(n: int) -> Iterator[list[int]]:
             u, bv, v, bu = ends[low.bit_length() - 1]
             rows[u] |= bv
             rows[v] |= bu
-        yield rows
-
-
-def _row_sets(n: int) -> list[frozenset[int]]:
-    """The vertex set of every bitmask row on 0..n-1, indexed by the row."""
-    return [frozenset(v for v in range(n) if row >> v & 1) for row in range(1 << n)]
+        # the last factor changes fastest, so vertices run n-1 down to 1
+        # and vertex 1's bit, the lowest, flips every step
+        rests = product(*[(sets[rows[v]], sets[rows[v] | 1]) for v in range(n - 1, 0, -1)])
+        joined = zip(zero_rows, rests)
+        if connected:
+            comps = _components(rows, (1 << n) - 2)
+            if comps not in meets:
+                meets[comps] = [all(low << 1 & c for c in comps) for low in range(1 << n - 1)]
+            joined = compress(joined, meets[comps])
+        for row0, rest in joined:
+            yield Graph._from_neighbours((row0, *rest[::-1]))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on vertex set 0..n-1, by edge bitmask."""
-    sets = _row_sets(n)
-    for rows in _neighbour_rows(n):
-        yield Graph._from_neighbours([sets[r] for r in rows])
+    return _walk(n, False)
 
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected labeled graph on 0..n-1, in the order of
-    ``all_graphs``; reachability is tested on the bitmask rows, so only
+    ``all_graphs``; connectivity is read off the bitmask rows, so only
     the connected ones are built."""
     if n == 0:
         raise EmptyGraph("connectivity of the empty graph is undefined here")
-    sets = _row_sets(n)
-    full = (1 << n) - 1
-    for nbr in _neighbour_rows(n):
-        # reachability from vertex 0 on vertex bitmasks
-        seen = todo = 1
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = nbr[low.bit_length() - 1] & ~seen
-            seen |= new
-            todo |= new
-        if seen == full:
-            yield Graph._from_neighbours([sets[r] for r in nbr])
+    return _walk(n, True)
 
 
 def circulant(n: int, steps: tuple[int, ...]) -> Graph:
@@ -224,7 +247,7 @@ def _where(g: Graph) -> str:
     return f"n={g.n} edges={tuple(sorted(g.edge_set()))}"
 
 
-def _report(title: str, checker, cases: list[Graph], workers: int) -> SweepReport:
+def _report(title: str, checker, cases: list, workers: int) -> SweepReport:
     """Run ``checker`` on every case and tally its outcomes; a None
     verdict or shape leaves the case out of that count."""
     if workers <= 1 or len(cases) < 64:
@@ -247,14 +270,16 @@ def _report(title: str, checker, cases: list[Graph], workers: int) -> SweepRepor
 class _Row(NamedTuple):
     """One method universe: the ``cli.METHODS`` names to run, and the
     paper's extra property of an EXISTS answer, which maps (case,
-    certificate) to (failure, coverage shape)."""
+    certificate, what the universe knew of the case) to (failure,
+    coverage shape)."""
 
     names: tuple[str, ...]
-    extra: Callable[[Graph, cli.Certificate], tuple[str | None, str | None]] | None = None
+    extra: Callable[..., tuple[str | None, str | None]] | None = None
 
 
-def _method_case(row: _Row, g: Graph) -> Outcome:
-    """Answer the case through ``cli.run_method`` and check the answer."""
+def _method_case(row: _Row, g: Graph, *known) -> Outcome:
+    """Answer the case through ``cli.run_method`` and check the answer;
+    ``known`` is what the universe found out about g when it chose it."""
     try:
         cert = cli.run_method(g, *row.names)
     except AssertionError as exc:  # a witness that failed verification where it was built
@@ -268,7 +293,7 @@ def _method_case(row: _Row, g: Graph) -> Outcome:
         elif cert.verdict == cli.NOT_EXISTS and cli.run_method(g, "oracle").verdict == cli.EXISTS:
             failure = "the oracle finds a tree"
         elif cert.verdict == cli.EXISTS and row.extra is not None:
-            failure, shape = row.extra(g, cert)
+            failure, shape = row.extra(g, cert, *known)
     if failure is None:
         return (None, verdict, shape)
     return (f"{verdict} fails: {failure} on {_where(g)}", verdict, shape)
@@ -288,10 +313,12 @@ def sweep_dense(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
     return _report(title, partial(_method_case, _Row(("dense",))), cases, workers)
 
 
-def _split_tree_checks(g: Graph, cert: cli.Certificate) -> tuple[str | None, None]:
-    """Beside the verified tree: the nonexistence criterion must not hold,
-    and the tree hangs every independent-side vertex as a leaf."""
-    sp = find_split_partition(g)
+def _split_tree_checks(
+    g: Graph, cert: cli.Certificate, sp: SplitPartition
+) -> tuple[str | None, None]:
+    """Beside the verified tree: the nonexistence criterion must not hold
+    on g's split partition sp, and the tree hangs every independent-side
+    vertex as a leaf."""
     if split_no_tree_condition(g, sp):
         return ("the split criterion claims no tree", None)
     deg = degrees(cert.edges, g.n)
@@ -300,16 +327,25 @@ def _split_tree_checks(g: Graph, cert: cli.Certificate) -> tuple[str | None, Non
     return ("an independent-side vertex is not a leaf", None)
 
 
-def _wide_split(g: Graph) -> bool:
-    sp = find_split_partition(g)
-    return sp is not None and len(sp.y) >= 2
+_SPLIT_ROW = _Row(("split",), extra=_split_tree_checks)
+
+
+def _split_case(case: tuple[Graph, SplitPartition]) -> Outcome:
+    """A split case: the graph, and the partition that chose it, which
+    the tree checks take as it is."""
+    return _method_case(_SPLIT_ROW, *case)
 
 
 def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepReport:
     """Criterion-vs-oracle equivalence on split graphs with |Y| >= 2: a
     verified tree refutes the criterion, and a criterion answer must
     pass recheck and the oracle."""
-    cases = [g for n in range(2, max_n + 1) for g in all_connected_graphs(n) if _wide_split(g)]
+    cases = []
+    for n in range(2, max_n + 1):
+        for g in all_connected_graphs(n):
+            sp = find_split_partition(g)
+            if sp is not None and len(sp.y) >= 2:
+                cases.append((g, sp))
     grid = [(s, t) for s in range(1, 7) for t in range(2, 6) if (s + t) % 2 == 0]
     ps = (0.3, 0.6, 0.9)
 
@@ -317,10 +353,9 @@ def sweep_split(seeded: int = 500, workers: int = 1, max_n: int = 6) -> SweepRep
         s, t = grid[i % len(grid)]
         return gen_random_split(s, t, ps[(i // len(grid)) % len(ps)], i)[0]
 
-    cases += _seeded(draw, is_connected, seeded)
+    cases += [(g, find_split_partition(g)) for g in _seeded(draw, is_connected, seeded)]
     title = f"connected split graphs, exhaustive n<={max_n} plus {seeded} seeded"
-    row = _Row(("split",), extra=_split_tree_checks)
-    return _report(title, partial(_method_case, row), cases, workers)
+    return _report(title, _split_case, cases, workers)
 
 
 def _trifree_branch(g: Graph, cert: cli.Certificate) -> tuple[None, str | None]:
@@ -383,16 +418,24 @@ def sweep_factor(seeded: int = 100, workers: int = 1) -> SweepReport:
 
 
 def _bipartition_case(g: Graph) -> Outcome:
+    # bipartition's BFS has found g connected, which is all that
+    # enumerate_spanning_trees would test before this search
     bp = bipartition(g)
+    n = g.n
+    edges = sorted(g.edge_set())
+    trees = _spanning_trees(edges, n)
     if bp is not None:
-        for t in enumerate_spanning_trees(g):
-            if tree_bipartition(t, g.n) != bp:
+        for t in trees:
+            if tree_bipartition(t, n) != bp:
                 return (f"tree {sorted(t)} disagrees on {_where(g)}", "bipartite", None)
         return (None, "bipartite", None)
-    seen: set[Bipartition] = set()
-    for t in enumerate_spanning_trees(g):
-        seen.add(tree_bipartition(t, g.n))
-        if len(seen) >= 2:
+    first = tree_bipartition(next(trees), n)
+    # a tree's partition can differ from the first one's only if the tree
+    # has an edge inside one side of it
+    left = first.left
+    inside = {e for e in edges if (e[0] in left) == (e[1] in left)}
+    for t in trees:
+        if not inside.isdisjoint(t) and tree_bipartition(t, n) != first:
             return (None, "non-bipartite", None)
     return (f"non-bipartite graph with a forced partition: {_where(g)}", "non-bipartite", None)
 

@@ -173,11 +173,12 @@ def _extract_certificate(g: Graph, failed: list[tuple[Edge, set[Edge]]]) -> Part
 
 def _crossing_count(g: Graph, parts: tuple[frozenset[int], ...]) -> int:
     """Edges of g whose ends lie in different parts of a vertex partition."""
-    index = {}
-    for k, part in enumerate(parts):
+    part_of = {}
+    for part in parts:
         for v in part:
-            index[v] = k
-    return sum(1 for u, v in g.edge_set() if index[u] != index[v])
+            part_of[v] = part
+    # a crossing edge leaves its part at both of its ends
+    return sum(len(nbrs - part_of[v]) for v, nbrs in enumerate(g.adj)) // 2
 
 
 def verify_packing(g: Graph, outcome: PackingOutcome) -> bool:

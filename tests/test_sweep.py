@@ -73,6 +73,15 @@ def test_generators_match_the_frozen_pair_loops(now, frozen, sizes):
         assert [g.edge_set() for g in got] == [g.edge_set() for g in want], n
 
 
+def test_generators_yield_the_labelled_graph_counts():
+    # connected labelled graphs on n vertices are OEIS A001187, and all
+    # labelled graphs number 2^C(n, 2): counts that no generator computes
+    for n, want in zip(range(1, 7), (1, 1, 4, 38, 728, 26704)):
+        assert sum(1 for _ in all_connected_graphs(n)) == want, n
+    for n in range(7):
+        assert sum(1 for _ in all_graphs(n)) == 2 ** (n * (n - 1) // 2), n
+
+
 def test_connected_graphs_of_no_vertices_raise_empty_graph():
     # connectivity of the empty graph is undefined, as in is_connected
     with pytest.raises(EmptyGraph):
