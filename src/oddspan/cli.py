@@ -329,7 +329,7 @@ def _nonexistence_reason(cert: Certificate) -> NonexistenceReason | None:
             bp = Bipartition(frozenset(parts["left"]), frozenset(parts["right"]))
             return NonexistenceReason(BIPARTITE_EVEN_PARTS, bp)
         if cert.method == BRIDGE_EVEN_SIDES:
-            u, v = map(int, args)
+            u, v = map(_ascii_int, args)
             return NonexistenceReason(BRIDGE_EVEN_SIDES, edge(u, v))
         if cert.method == "split-criterion":
             sp = SplitPartition(x=frozenset(parts["x"]), y=parts["y"])

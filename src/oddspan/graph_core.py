@@ -204,7 +204,7 @@ def tree_bipartition(t: EdgeSet, n: int) -> Bipartition:
 
 
 def forest_path(adj, u: int, v: int) -> list[Edge]:
-    """Edges of the unique forest path from u to v, in order (must be connected).
+    """Edges of the unique forest path from u to v, in order; Disconnected if none.
 
     ``adj`` is indexed by vertex, as for ``bfs_distances``; the search
     stops as soon as it reaches v.
@@ -219,6 +219,8 @@ def forest_path(adj, u: int, v: int) -> list[Edge]:
             if w not in prev:
                 prev[w] = x
                 queue.append(w)
+    else:
+        raise Disconnected(f"no forest path from {u} to {v}")
     path = []
     x = v
     while x != u:

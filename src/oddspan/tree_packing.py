@@ -65,15 +65,14 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
         {v: set() for v in range(n)},
         {v: set() for v in range(n)},
     )
-    failed: list[tuple[Edge, set[Edge]]] = []
-    # The edge count of both forests, their component labels, kept up to
-    # date in place, and the members of each label.  A failed offer
+    # The edge count of both forests, a union-find parent array per
+    # forest, and the edges that failed offers labelled.  A failed offer
     # changes neither forest, and a success adds one edge, since its swaps
     # only move edges; once both forests span, every later offer would
     # fail, so the scan stops there.
     placed = 0
-    comp = [list(range(n)), list(range(n))]
-    members = [[[v] for v in range(n)], [[v] for v in range(n)]]
+    roots = [list(range(n)), list(range(n))]
+    closed: set[Edge] = set()
 
     for e0 in sorted(g.edge_set()):
         if placed == 2 * (n - 1):
@@ -84,7 +83,7 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
         while queue:
             f, i = queue.popleft()
             fu, fv = f
-            if comp[i][fu] != comp[i][fv]:
+            if find_root(roots[i], fu) != find_root(roots[i], fv):
                 chain = (f, i)
                 break
             for h in forest_path(forests[i], fu, fv):
@@ -92,23 +91,16 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
                     label[h] = (f, i)
                     queue.append((h, 1 - i))
         if chain is None:
-            failed.append((e0, set(label)))
+            closed.update(label)
             continue
         # Apply the swap chain: insert at the success node, then walk up
         # replacing each forest edge by the edge that wanted its slot.
         # Each swap puts f in place of an edge on f's path in that
         # forest, which keeps its components; only the insertion joins
-        # two components, of forest j.  The smaller one takes the larger
-        # one's label, so a vertex is relabelled O(log n) times in all.
+        # two components, of forest j, so linking their roots is exact.
         h, j = chain
-        cj, mj = comp[j], members[j]
-        keep, gone = cj[h[0]], cj[h[1]]
-        if len(mj[keep]) < len(mj[gone]):
-            keep, gone = gone, keep
-        for v in mj[gone]:
-            cj[v] = keep
-        mj[keep] += mj[gone]
-        mj[gone] = []
+        rj = roots[j]
+        rj[find_root(rj, h[0])] = find_root(rj, h[1])
         forests[j][h[0]].add(h[1])
         forests[j][h[1]].add(h[0])
         placed += 1
@@ -125,7 +117,7 @@ def two_edge_disjoint_spanning_trees(g: Graph) -> PackingOutcome:
     if placed == 2 * (n - 1):
         t0, t1 = (frozenset((u, v) for u in f for v in f[u] if u < v) for f in forests)
         return PackingOutcome(trees=(t0, t1))
-    return PackingOutcome(cert=_extract_certificate(g, failed))
+    return PackingOutcome(cert=_extract_certificate(g, closed))
 
 
 def _peels_to_empty(g: Graph) -> bool:
@@ -146,28 +138,19 @@ def _peels_to_empty(g: Graph) -> bool:
     return peeled == g.n
 
 
-def _extract_certificate(g: Graph, failed: list[tuple[Edge, set[Edge]]]) -> PartitionCertificate:
-    # Each failed edge's labeled set spans a vertex class that is doubly
-    # spanned by both forests; overlapping classes merge, untouched
-    # vertices become singletons.  Callers re-check with verify_packing.
-    n = g.n
-    parent = list(range(n))
-    for e0, labeled in failed:
-        verts = {e0[0], e0[1]}
-        for u, v in labeled:
-            verts.add(u)
-            verts.add(v)
-        anchor = min(verts)
-        for v in verts:
-            ra, rv = find_root(parent, anchor), find_root(parent, v)
-            if ra != rv:
-                parent[rv] = ra
+def _extract_certificate(g: Graph, closed: set[Edge]) -> PartitionCertificate:
+    # The edges one failed offer labels are connected (each labelled path
+    # joins the ends of an edge labelled before it) and span a class that
+    # both forests doubly span; overlapping classes merge, so the parts
+    # are the closed edges' components, listed at their least vertex.
+    # Callers re-check with verify_packing.
+    parent = list(range(g.n))
+    for u, v in closed:
+        parent[find_root(parent, u)] = find_root(parent, v)
     groups: dict[int, list[int]] = {}
-    for v in range(n):
+    for v in range(g.n):
         groups.setdefault(find_root(parent, v), []).append(v)
-    parts = tuple(
-        frozenset(vs) for _, vs in sorted(groups.items(), key=lambda kv: min(kv[1]))
-    )
+    parts = tuple(map(frozenset, groups.values()))
     return PartitionCertificate(parts=parts, cross_edges=_crossing_count(g, parts))
 
 

@@ -1,4 +1,7 @@
-"""Small graph builders and a frozen splitmix step, shared across test modules."""
+"""Small graph builders, a line-event counter and a frozen splitmix step,
+shared across test modules."""
+
+import sys
 
 from oddspan.graph_core import Graph, edge
 
@@ -25,6 +28,28 @@ def joined_cliques(s: int, links: int) -> Graph:
     edges += [(u + s, v + s) for u, v in edges]
     edges += [(i, s + i) for i in range(links)]
     return Graph(2 * s, edges)
+
+
+def line_events(functions, run) -> int:
+    """Line events that run() executes in frames of the given functions."""
+    codes = {fn.__code__ for fn in functions}
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return events
 
 
 # A frozen copy of the splitmix step, one output per call, as it was

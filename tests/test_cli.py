@@ -609,6 +609,9 @@ _MUTATIONS = [
     (C4, ("construct", "--factor"), _move_p_vertex, 1, "FAIL partition-rejected\n"),
     (C4, ("construct", "--factor"), _delete_p_part, 1, "FAIL partition-rejected\n"),
     (_BRIDGE_K4_K4, ("check",), _replace_text("sides 3 4", "sides 3 x"), 65, ""),
+    # R numbers are ASCII digits, as T numbers are
+    *((_BRIDGE_K4_K4, ("check",), _replace_text("sides 3 4", f"sides 3 {v}"), 65, "")
+      for v in ("+4", "\u0664", "0_4")),
     # R words that no check read: the kind word, and the part sizes
     (_BRIDGE_K4_K4, ("check",), _replace_text("R bridge-even-sides", "R nonsense"), 1,
      "FAIL witness-rejected\n"),

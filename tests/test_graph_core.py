@@ -1,10 +1,9 @@
-import sys
 from collections import deque
 from itertools import permutations
 
 import pytest
 
-from common import complete, cycle, es, joined_cliques, path
+from common import complete, cycle, es, joined_cliques, line_events, path
 from oddspan import graph_core
 from oddspan.errors import Disconnected, EmptyGraph, NotATree
 from oddspan.families import gen_complete_bipartite, gen_random
@@ -244,6 +243,9 @@ def test_bfs_distances_and_forest_path_on_every_adjacency_shape():
         assert forest_path(adj, 4, 0) == [(2, 4), (1, 2), (0, 1)]
         assert forest_path(adj, 6, 5) == [(5, 6)]
         assert forest_path(adj, 1, 1) == []
+        for u, v in ((0, 5), (6, 4), (3, 6)):
+            with pytest.raises(Disconnected):
+                forest_path(adj, u, v)
     for adj in _adjacency_shapes(5, cycle(5).edge_set()):
         assert bfs_distances(adj, 0) == [0, 1, 2, 2, 1]
 
@@ -410,34 +412,13 @@ def test_unit_flow_matches_the_capacity_table_seeded():
     assert draws >= 40
 
 
-def _line_events(code, run):
-    """Line events that run() executes in frames of code."""
-    events = 0
-
-    def local(frame, event, arg):
-        nonlocal events
-        events += event == "line"
-        return local
-
-    def calls(frame, event, arg):
-        return local if frame.f_code is code else None
-
-    previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        run()
-    finally:
-        sys.settrace(previous)
-    return events
-
-
 def test_unit_flow_keeps_no_capacity_table(monkeypatch):
     # on a path each flow is one augmenting path, which the 2m-entry table
     # used to outweigh
     g = path(600)
-    ours = _line_events(graph_core._max_flow_unit.__code__, lambda: edge_connectivity(g))
+    ours = line_events([graph_core._max_flow_unit], lambda: edge_connectivity(g))
     monkeypatch.setattr(graph_core, "_max_flow_unit", _capacity_table_flow)
-    table = _line_events(_capacity_table_flow.__code__, lambda: edge_connectivity(g))
+    table = line_events([_capacity_table_flow], lambda: edge_connectivity(g))
     assert ours <= 0.6 * table, (ours, table)
 
 

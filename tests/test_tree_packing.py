@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from common import complete, cycle, path
+from common import complete, cycle, line_events, path
 from oddspan import tree_packing
 from oddspan.errors import Disconnected, EmptyGraph
 from oddspan.families import gen_complete_bipartite, gen_random
@@ -208,7 +208,27 @@ def _offer_every_edge(g):
     t1 = frozenset(e for e, i in in_forest.items() if i == 1)
     if len(t0) == n - 1 and len(t1) == n - 1:
         return PackingOutcome(trees=(t0, t1)), swapped
-    return PackingOutcome(cert=tree_packing._extract_certificate(g, failed)), swapped
+    return PackingOutcome(cert=_frozen_certificate(g, failed)), swapped
+
+
+def _frozen_certificate(g, failed):
+    """A certificate extraction apart from the packing's: a union-find over
+    each failed offer's vertex set, parts sorted by their least vertex."""
+    parent = list(range(g.n))
+    for e0, labelled in failed:
+        verts = {e0[0], e0[1]}.union(*labelled)
+        anchor = min(verts)
+        for v in verts:
+            ra, rv = find_root(parent, anchor), find_root(parent, v)
+            if ra != rv:
+                parent[rv] = ra
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(find_root(parent, v), set()).add(v)
+    parts = tuple(frozenset(vs) for vs in sorted(groups.values(), key=min))
+    part_of = {v: part for part in parts for v in part}
+    cross = sum(part_of[u] != part_of[v] for u, v in g.edge_set())
+    return PartitionCertificate(parts=parts, cross_edges=cross)
 
 
 def _unpruned_pair_search(g):
@@ -234,10 +254,10 @@ def test_packing_matches_offer_every_edge_on_small_graphs(monkeypatch):
     extracted = 0
     extract = tree_packing._extract_certificate
 
-    def counted(g, failed):
+    def counted(g, closed):
         nonlocal extracted
         extracted += 1
-        return extract(g, failed)
+        return extract(g, closed)
 
     monkeypatch.setattr(tree_packing, "_extract_certificate", counted)
     stopped_early = 0
@@ -263,7 +283,7 @@ def test_packing_matches_offer_every_edge_on_small_graphs(monkeypatch):
     assert peeled >= 20000
     assert stopped_early > 1000
     # augmentations that swap edges between forests are where the packing
-    # keeps its component labels without a rebuild
+    # keeps its forests' union-find roots without a rebuild
     assert swapped > 1000
 
 
@@ -303,15 +323,31 @@ def test_packing_matches_offer_every_edge_seeded():
     assert kinds == {"trees", "peeled", "certificate"}
 
 
+def _moebius(n):
+    return Graph(n, [(v, (v + 1) % n) for v in range(n)] + [(v, v + n // 2) for v in range(n // 2)])
+
+
 def test_packing_matches_offer_every_edge_on_moebius_ladders():
     # cubic and not 2-degenerate, so every edge goes through the offer
     # loop, and forest components of many sizes merge
     for n in range(6, 61, 6):
-        g = Graph(n, [(v, (v + 1) % n) for v in range(n)] + [(v, v + n // 2) for v in range(n // 2)])
+        g = _moebius(n)
         assert not tree_packing._peels_to_empty(g)
         out = two_edge_disjoint_spanning_trees(g)
         assert out == _offer_every_edge(g)[0], n
         assert verify_packing(g, out)
+
+
+def test_component_tracking_stays_near_linear():
+    # four times the vertices costs about four times the line events
+    # (4.0); deciding components by the lack of a forest path read 14.4
+    def work(n):
+        g = _moebius(n)
+        fns = [two_edge_disjoint_spanning_trees, tree_packing.forest_path, find_root]
+        return line_events(fns, lambda: two_edge_disjoint_spanning_trees(g))
+
+    small, large = work(150), work(600)
+    assert large <= 8 * small, (small, large)
 
 
 def test_pair_search_matches_unpruned_on_small_graphs():
