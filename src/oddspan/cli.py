@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections.abc import Callable
 from math import comb
@@ -151,8 +152,58 @@ def _text_reader(text: str) -> tuple[Callable[[str], list[str]], Callable[[str],
     return (str.split, int) if plain else (_fields, _ascii_int)
 
 
+# The shape of every text ``emit_graph`` writes: ASCII digits, one space
+# inside a line, LF line ends, the last one optional.
+_PLAIN_GRAPH = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*\n?")
+
+# The decimal spelling of every vertex id of a graph with up to 1,024
+# vertices.  A dict lookup reads a token in about a fifth of int()'s time.
+_SMALL_INTS = {str(i): i for i in range(1024)}
+
+
 def parse_graph(text: str) -> Graph:
     """Strict edge-list reader; rejects self loops and repeated edges.
+
+    A text in ``emit_graph``'s shape is read in one bulk pass.  Any other
+    text, and a plain one that fails a check, goes to the line reader,
+    which names the line at fault.
+    """
+    g = _parse_plain(text)
+    return _parse_graph_lines(text) if g is None else g
+
+
+def _parse_plain(text: str) -> Graph | None:
+    """The graph of a text in ``_PLAIN_GRAPH``'s shape, or None if the
+    shape or any check fails.  The vertex bound and the token count are
+    checked before any neighbour set is allocated."""
+    if _PLAIN_GRAPH.fullmatch(text) is None:
+        return None
+    tokens = text.split()
+    try:
+        nums = list(map(_SMALL_INTS.__getitem__, tokens))
+    except KeyError:  # an id past the table, or a leading zero
+        try:
+            nums = list(map(int, tokens))
+        except ValueError:  # more digits than int() reads
+            return None
+    n, m = nums[0], nums[1]
+    if n > _MAX_VERTICES or len(nums) != 2 * m + 2:
+        return None
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    try:
+        for u, v in zip(nums[2::2], nums[3::2]):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    except IndexError:  # an id not below n; none is negative
+        return None
+    # each edge adds two set entries, a self loop one and a repeated edge
+    # none, so 2m entries rule out both
+    return Graph._from_neighbours(nbrs) if sum(map(len, nbrs)) == 2 * m else None
+
+
+def _parse_graph_lines(text: str) -> Graph:
+    """The line reader: every text the wire format allows, each error
+    with its line number.
 
     One pass over the edge lines checks each one and fills the neighbour
     sets, which become the graph as they stand.

@@ -282,11 +282,14 @@ def edge_connectivity(g: Graph) -> int:
 
     λ never exceeds the minimum degree δ, so each unit flow to a
     ``_flow_sinks`` member stops at δ, and λ = δ when there is none.
-    Disconnected input returns 0.
+    Disconnected input returns 0.  When δ <= 1 connectivity alone
+    settles λ, so a tree takes one BFS in place of a flow per sink.
     """
     if g.n < 2:
         raise EmptyGraph("edge connectivity needs at least two vertices")
     delta = g.min_degree()
+    if delta <= 1:
+        return delta if is_connected(g) else 0
     return min((_max_flow_unit(g, 0, t, delta) for t in _flow_sinks(g)), default=delta)
 
 
@@ -326,11 +329,18 @@ def bfs_distances(adj, s: int) -> list[int]:
 
 
 def diameter(g: Graph) -> int:
-    """Largest eccentricity, one level-by-level walk per source on vertex
-    bitmasks: the next level is the union of the current level's
-    neighbour masks, less the vertices already seen."""
+    """Largest eccentricity.
+
+    A tree takes two BFS sweeps: a vertex farthest from any vertex ends
+    a longest path.  Any other graph takes one level-by-level walk per
+    source on vertex bitmasks: the next level is the union of the
+    current level's neighbour masks, less the vertices already seen.
+    """
     if not is_connected(g):
         raise Disconnected("diameter of a disconnected graph is infinite")
+    if g.m == g.n - 1:
+        dist = bfs_distances(g.adj, 0)
+        return max(bfs_distances(g.adj, dist.index(max(dist))))
     nbr = [sum(1 << w for w in nbrs) for nbrs in g.adj]
     full = (1 << g.n) - 1
     worst = 0

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oddspan
-from common import cycle, es
+from common import cycle, es, line_events
 from oddspan import cli, graph_core, oracle, sweep, tree_packing
 from oddspan.cli import (
     Certificate,
@@ -401,6 +401,25 @@ def test_info_golden(capsys):
     _, gtext = run_cli(capsys, "gen", "--family", "bridge-complete", "--s", "4", "--t", "4")
     code, out = run_cli(capsys, "info", stdin=gtext)
     assert code == 0 and out == golden("info", "bridge-k4-k4")
+
+
+def test_info_on_a_path_stays_near_linear(capsys):
+    # a tree's diameter takes two sweeps and its λ one BFS; one walk per
+    # source and one flow per sink made four times the path cost about
+    # sixteen times the line events
+    fns = [cli._cmd_info, diameter, graph_core.edge_connectivity, graph_core.bfs_distances,
+           graph_core._max_flow_unit, graph_core._flow_sinks]
+
+    def work(n):
+        text = emit_graph(Graph(n, [(v, v + 1) for v in range(n - 1)]))
+        runs = []
+        events = line_events(fns, lambda: runs.append(run_cli(capsys, "info", stdin=text)))
+        [(code, out)] = runs
+        assert code == 0 and f"edge-connectivity 1\ndiameter {n - 1}\n" in out
+        return events
+
+    small, large = work(500), work(2000)
+    assert large <= 5 * small, (small, large)
 
 
 def test_info_on_one_and_zero_vertices(capsys, tmp_path):
@@ -793,6 +812,10 @@ _ODD_TEXTS = [
     "2 1\n0 +1\n", "2 1\n0 \u0661\n", "2 1\n0 1_0\n", "3 2\n0 1\x0c1 2\n", "2 1\r0 1\n",
     "2 1 # \uff12 +1_0\n0 1 # \u0661\n", "2 1 # \x0b\x1f\xa0\r\r\n0 1\n", "2 1\n-0 1\n",
     "2 1\n0 -1\n", "2 1\n0\r1\n",
+    # plain texts, in the shape emit_graph writes, that the bulk reader
+    # must refuse or read as the line reader does
+    "3 1\n1 1\n", "2 2\n0 1\n1 0\n", "2 1\n0 2\n", "3 2\n0 1\n", "2 1\n0 " + "1" * 5000 + "\n",
+    "02 1\n00 01\n", "2 1\n0 1",
 ]
 
 # The texts whose outcome differs from the frozen reader's on purpose: a
@@ -863,6 +886,46 @@ def test_parse_graph_bounds_the_vertex_count():
     assert parse_graph(f"{cli._MAX_VERTICES} 1\n0 1\n").n == cli._MAX_VERTICES
     with pytest.raises(ParseError, match=f"^line 2: vertex count {cli._MAX_VERTICES + 1} above"):
         parse_graph(f"# big\n{cli._MAX_VERTICES + 1} 0\n")
+    # a plain text, refused by the bulk reader's own check; it is not in
+    # _ODD_TEXTS because the frozen reader predates the bound
+    with pytest.raises(ParseError, match=f"^line 1: vertex count {cli._MAX_VERTICES + 1} above"):
+        parse_graph(f"{cli._MAX_VERTICES + 1} 0\n")
+
+
+def test_only_texts_off_the_plain_shape_reach_the_line_reader(monkeypatch):
+    seen = []
+    lines = cli._parse_graph_lines
+
+    def spy(text):
+        seen.append(text)
+        return lines(text)
+
+    monkeypatch.setattr(cli, "_parse_graph_lines", spy)
+    emitted = [emit_graph(gen_random(n, p, n)) for n in range(12) for p in (0.2, 0.6, 1.0)]
+    emitted += [emit_graph(gen_random(1100, 0.01, 1)), "0 0", "2 1\n0 1"]
+    for text in emitted:
+        assert parse_graph(text) == lines(text)
+    assert seen == []
+    others = ["# c4\n" + C4, C4.replace("\n", "\r\n"), C4.replace(" ", "\t"),
+              C4.replace("\n", "\n\n", 1), " " + C4, C4.replace("\n", " \n")]
+    for text in others:
+        assert parse_graph(text) == parse_graph(C4)
+    assert seen == others
+
+
+def test_reader_work_stays_linear():
+    # four times the edges costs four times the line events, on the bulk
+    # path and on the line reader alike
+    fns = [parse_graph, cli._parse_plain, cli._parse_graph_lines, cli._text_reader,
+           cli._fields, cli._ascii_int]
+
+    def work(n, eol):
+        text = emit_graph(Graph(n, [(v, v + 1) for v in range(n - 1)])).replace("\n", eol)
+        return line_events(fns, lambda: parse_graph(text))
+
+    for eol in ("\n", "\r\n"):
+        small, large = work(1000, eol), work(4000, eol)
+        assert large <= 5 * small, (eol, small, large)
 
 
 def test_exit_codes_for_bad_input(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
-from collections import deque
+import random
+from collections import Counter, deque
 from itertools import permutations
 
 import pytest
@@ -438,14 +439,15 @@ def test_diameter():
         diameter(Graph(4, [(0, 1), (2, 3)]))
 
 
-def test_diameter_matches_bfs_from_every_source():
-    def by_bfs(g):
-        return max(max(bfs_distances(g.adj, s)) for s in range(g.n))
+def _diameter_by_bfs(g):
+    return max(max(bfs_distances(g.adj, s)) for s in range(g.n))
 
+
+def test_diameter_matches_bfs_from_every_source():
     checked = 0
     for n in range(1, 7):
         for g in all_connected_graphs(n):
-            assert diameter(g) == by_bfs(g), (n, sorted(g.edge_set()))
+            assert diameter(g) == _diameter_by_bfs(g), (n, sorted(g.edge_set()))
             checked += 1
     assert checked == 27476
     diameters = set()
@@ -453,8 +455,37 @@ def test_diameter_matches_bfs_from_every_source():
         g = gen_random(2 + i % 59, 0.05 + 0.1 * (i % 9), i)
         if is_connected(g):
             diameters.add(diameter(g))
-            assert diameter(g) == by_bfs(g), i
+            assert diameter(g) == _diameter_by_bfs(g), i
     assert len(diameters) >= 5
+
+
+def _seeded_tree(n, rng):
+    """A tree on 0..n-1: each vertex past the first joins an earlier one,
+    under a random relabelling."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[v], label[rng.randrange(v)]) for v in range(1, n)])
+
+
+def test_tree_and_low_degree_shortcuts_match_the_general_code():
+    # a tree's diameter takes two sweeps and λ <= δ <= 1 takes one BFS;
+    # the references are a BFS from every source and a unit flow from
+    # vertex 0 to every other vertex
+    rng = random.Random(39)
+    shapes = Counter()
+    for i in range(150):
+        n = 2 + i % 60
+        g = _seeded_tree(n, rng)
+        if i % 3:
+            # a draw with a pendant vertex: δ <= 1, connected or not
+            h = gen_random(n, 0.05 + 0.1 * (i % 5), i)
+            g = Graph(n + 1, [*h.edge_set(), (rng.randrange(n), n)])
+        lam = min(graph_core._max_flow_unit(g, 0, t, g.n) for t in range(1, g.n))
+        assert edge_connectivity(g) == lam, (i, sorted(g.edge_set()))
+        if is_connected(g):
+            assert diameter(g) == _diameter_by_bfs(g), (i, sorted(g.edge_set()))
+        shapes[g.m == g.n - 1, lam] += 1
+    assert shapes[True, 1] >= 50 and shapes[False, 1] >= 50 and shapes[False, 0] >= 20
 
 
 def test_is_triangle_free():
